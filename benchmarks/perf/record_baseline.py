@@ -101,19 +101,9 @@ def record_baseline() -> dict:
     )
     block_seconds = time.perf_counter() - t0
 
-    try:  # the seed tree predates fused step programs: record as unfused
-        from repro.backends import fused_programs_enabled
-
-        fused = fused_programs_enabled()
-    except ImportError:
-        fused = False
-
     return {
         "description": "seed-engine wall-clock baseline for the Table 2 VGG workload",
         "machine": machine_fingerprint(),
-        # which step-loop path (fused step programs vs composed per-kernel
-        # calls) measured this baseline
-        "fused": fused,
         "scale": {
             "time_steps": BENCH_TIME_STEPS,
             "num_images": num_images,

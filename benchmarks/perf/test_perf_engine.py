@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import perf_cases
-from repro.backends import default_backend_name, fused_mode, fused_programs_enabled
+from repro.backends import default_backend_name
 from repro.core.hybrid import HybridCodingScheme
 from repro.utils.dtypes import simulation_dtype, simulation_precision
 from repro.utils.timing import load_bench_json, write_bench_json
@@ -68,10 +68,6 @@ def _append_trajectory(report: dict) -> None:
         "backend": report.get("backend", "numpy"),
         "seconds": seconds,
         "speedup_vs_seed": end_to_end.get("speedup_vs_seed"),
-        # which step-loop path measured the run; additive field — the row key
-        # stays (git_rev, scale, backend) so existing rows keep matching
-        "fused": report.get("fused", True),
-        "fused_mode": report.get("fused_mode", "network"),
     }
     runs = history.setdefault("runs", [])
     for index, run in enumerate(runs):
@@ -94,8 +90,6 @@ def perf_report():
         "description": "engine perf report (components + end-to-end Table 2 VGG)",
         "dtype_default": str(simulation_dtype()),
         "backend": default_backend_name(),
-        "fused": fused_programs_enabled(),
-        "fused_mode": fused_mode(),
         "scale": perf_cases.current_scale(),
         "components": {},
         "end_to_end": {},

@@ -11,8 +11,6 @@ In-tree backends:
 
 * ``numpy`` (default) — the reference kernels, float64 bit-identical to the
   seed engine;
-* ``numpy-blocked`` — the reference kernels with the propagation GEMM tiled
-  over batch shards (threaded on multi-core machines);
 * ``torch`` — optional PyTorch kernels; registers everywhere, resolves only
   where torch is installed (clean unavailability error otherwise).
 
@@ -20,32 +18,11 @@ Selection: ``SimulationConfig(backend=...)`` / ``PipelineConfig(backend=...)``
 / ``ServingConfig(backend=...)``, the ``repro --backend`` CLI flag, or the
 ``REPRO_BACKEND`` environment variable.
 
-Fused step programs: every backend can additionally compile a layer's whole
-per-step kernel sequence into one
-:class:`~repro.backends.programs.StepProgram` (``compile_step_program``) —
-one seam crossing per layer per step; backends that only implement the
-unfused primitives fall back to the composed multi-call step automatically.
-On top of that, ``compile_network_program`` compiles the *entire network
-step* (encoder, every layer program, spike recording) into one
-:class:`~repro.backends.programs.NetworkStepProgram` executing whole blocks
-of consecutive steps per seam crossing (``REPRO_FUSED`` selects the tier:
-``network`` / ``layer`` / ``composed``).  See
-:mod:`repro.backends.programs` and :mod:`repro.backends.instrument`.
+Each layer's ``step`` is written once, over these primitives (``self.ops``),
+so a backend only implements kernels: it never sees a layer or the step loop.
 """
 
 from repro.backends.base import KernelBackend
-from repro.backends.instrument import InstrumentedBackend, KernelCallRecorder
-from repro.backends.programs import (
-    ComposedStepProgram,
-    NetworkStepProgram,
-    StepProgram,
-    compile_network_step_program,
-    fused_mode,
-    fused_programs_enabled,
-    fused_scope,
-    network_programs_enabled,
-    set_fused_programs,
-)
 from repro.backends.registry import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
@@ -67,19 +44,8 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "BackendUnavailableError",
-    "ComposedStepProgram",
-    "InstrumentedBackend",
     "KernelBackend",
-    "KernelCallRecorder",
-    "NetworkStepProgram",
-    "StepProgram",
     "UnknownBackendError",
-    "compile_network_step_program",
-    "fused_mode",
-    "fused_programs_enabled",
-    "fused_scope",
-    "network_programs_enabled",
-    "set_fused_programs",
     "backend_metadata",
     "backend_names",
     "backend_scope",

@@ -59,36 +59,6 @@ class KernelBackend:
         """Human-readable reason when :meth:`available` is False."""
         return None
 
-    # -- fused step programs -----------------------------------------------
-    def compile_step_program(self, layer):
-        """Compile ``layer``'s per-step kernel sequence into one fused
-        :class:`~repro.backends.programs.StepProgram`, or return ``None``.
-
-        ``None`` — the default — means "this backend only implements the
-        unfused primitives"; the layer then composes them through its
-        original multi-call step body.  The hook is therefore additive:
-        third-party backends that predate fused programs keep working
-        unchanged.  Implementations must only capture buffers owned by the
-        layer/state/threshold objects at call time — the layer drops the
-        program on ``reset``/``shrink_batch``/backend switch and asks again.
-        """
-        return None
-
-    def compile_network_program(self, prepared):
-        """Compile the *whole network step* over a prepared batch into one
-        block-executing program (``run_block(t0, n)``), or return ``None``.
-
-        ``None`` — the default — keeps the engine driving the per-layer
-        programs step by step, so primitives-only third-party backends work
-        unchanged.  ``prepared`` is a :class:`~repro.engine.plan.
-        PreparedBatch`; the program may capture its records and the layers'
-        per-batch buffers — the engine recompiles it after any mid-run
-        ``shrink_batch``.  Implementations must preserve the engine loop's
-        exact step semantics (see :class:`~repro.backends.programs.
-        NetworkStepProgram`, the reference implementation).
-        """
-        return None
-
     # -- buffer allocation -------------------------------------------------
     def empty(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """Allocate an uninitialised buffer the engine will fill."""

@@ -11,7 +11,7 @@ Resolution order for the effective backend (mirroring the dtype policy in
 :mod:`repro.utils.dtypes`):
 
 1. an explicit ``backend=`` argument / config field
-   (e.g. ``SimulationConfig(backend="numpy-blocked")``);
+   (e.g. ``SimulationConfig(backend="torch")``);
 2. a process-wide override installed via :func:`set_default_backend` or the
    :func:`backend_scope` context manager (the CLI's ``--backend`` flag);
 3. the ``REPRO_BACKEND`` environment variable;
@@ -103,7 +103,6 @@ def _ensure_builtins() -> None:
         return
     # imported for their registration side effects
     import repro.backends.numpy_backend  # noqa: F401  (the reference backend)
-    import repro.backends.blocked  # noqa: F401  (tiled/threaded gemm variant)
     import repro.backends.torch_backend  # noqa: F401  (optional torch backend)
 
     _BUILTINS_LOADED = True

@@ -20,8 +20,6 @@ held to prediction-level agreement with the numpy backend, not bit-identity.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.backends.numpy_backend import NumpyBackend
@@ -32,30 +30,12 @@ class TorchBackend(NumpyBackend):
     """PyTorch CPU kernels over the engine's numpy buffers (zero-copy)."""
 
     name = "torch"
-    description = (
-        "PyTorch kernels with fused on-device step programs "
-        "(F.conv2d convolutions, fused IF/threshold + burst updates) "
-        "driven in whole-network step blocks; requires torch"
-    )
+    description = "PyTorch GEMM, gather and IF-neuron kernels; requires torch"
 
     def __init__(self) -> None:
         import torch
 
         self._torch = torch
-
-    def compile_step_program(self, layer):
-        """Fused torch programs for the neuron layers (the full synaptic +
-        IF + threshold chain on tensor views, convolutions via
-        ``torch.nn.functional.conv2d``); other layers fall back to the numpy
-        fused programs over this backend's overridden primitives."""
-        from repro.backends.torch_programs import compile_torch_program
-
-        program = compile_torch_program(layer, self)
-        if program is not None:
-            return program
-        # explicit base call (not zero-arg super): the instrumented proxy
-        # invokes this method unbound with itself as ``self``
-        return NumpyBackend.compile_step_program(self, layer)
 
     def matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         torch = self._torch
@@ -133,7 +113,7 @@ def _build_torch_backend() -> TorchBackend:
     except ImportError as exc:
         raise BackendUnavailableError(
             "the 'torch' backend requires PyTorch, which is not installed in "
-            "this environment (pip install torch); the 'numpy' and "
-            "'numpy-blocked' backends are always available"
+            "this environment (pip install torch); the 'numpy' backend is "
+            "always available"
         ) from exc
     return TorchBackend()

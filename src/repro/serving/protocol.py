@@ -104,11 +104,15 @@ def parse_image(payload: object, input_shape: Tuple[int, ...]) -> np.ndarray:
     Accepts a nested list (or anything array-like) shaped either exactly like
     the model input or flat with the right number of elements; returns a
     float64 array (the engine casts to the simulation dtype when batching).
+    NaN and ±inf pixels are rejected (``json.loads`` accepts ``NaN`` and
+    ``Infinity``, and numpy parses the string ``"nan"``).
     """
     try:
         image = np.asarray(payload, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"image payload is not numeric: {exc}") from exc
+    if not np.isfinite(image).all():
+        raise ValueError("image payload contains non-finite values (NaN or infinity)")
     if image.shape == input_shape:
         return image
     expected = int(np.prod(input_shape))

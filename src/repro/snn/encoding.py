@@ -33,7 +33,7 @@ they must survive longer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -56,14 +56,20 @@ class EncodedStep:
         layer's synapses.
     spikes:
         Boolean array marking which input neurons emitted a spike this step.
+    count:
+        ``count_nonzero(spikes)`` when the encoder already knows it (periodic
+        encoders keep it per phase); ``None`` counts on demand.
     """
 
     values: np.ndarray
     spikes: np.ndarray
+    count: Optional[int] = None
 
     @property
     def spike_count(self) -> int:
         """Total number of spikes emitted this step."""
+        if self.count is not None:
+            return self.count
         return int(np.count_nonzero(self.spikes))
 
 
@@ -154,15 +160,17 @@ class RealEncoder(InputEncoder):
 
     def reset(self, x: np.ndarray, dtype: DTypeLike = None) -> None:
         super().reset(x, dtype)
-        self._no_spikes = np.zeros(self._x.shape, dtype=bool)
+        self._step = EncodedStep(self._x, np.zeros(self._x.shape, dtype=bool), 0)
 
     def shrink_batch(self, keep: np.ndarray) -> None:
         super().shrink_batch(keep)
-        self._no_spikes = np.zeros(self._x.shape, dtype=bool)
+        self._step = EncodedStep(self._x, np.zeros(self._x.shape, dtype=bool), 0)
 
     def step(self, t: int) -> EncodedStep:
         del t
-        return EncodedStep(values=self.input, spikes=self._no_spikes)
+        if not hasattr(self, "_step"):
+            raise RuntimeError("encoder.reset(x) must be called before step()")
+        return self._step
 
 
 class RateEncoder(InputEncoder):
@@ -250,6 +258,10 @@ class PhaseEncoder(InputEncoder):
     period a spike of amplitude ``2^-(1+p) · v_th`` is emitted iff bit ``p`` of
     the quantised value is set.  One full period therefore transmits the value
     with ``period``-bit precision, and the per-step throughput is ``1/period``.
+
+    The output repeats every period, so ``reset`` encodes the whole period
+    once — per-phase spikes, amplitudes and spike counts — and ``step`` only
+    looks the phase up.
     """
 
     coding = "phase"
@@ -262,6 +274,7 @@ class PhaseEncoder(InputEncoder):
         self.period = int(period)
         self._bits: Optional[np.ndarray] = None
         self._values: Optional[np.ndarray] = None
+        self._steps: List[EncodedStep] = []
 
     @property
     def throughput_factor(self) -> float:  # type: ignore[override]
@@ -274,8 +287,10 @@ class PhaseEncoder(InputEncoder):
     def shrink_batch(self, keep: np.ndarray) -> None:
         super().shrink_batch(keep)
         if self._bits is not None:
-            self._bits = np.ascontiguousarray(self._bits[:, np.asarray(keep, dtype=np.intp)])
-            self._values = np.empty(self._x.shape, dtype=self.dtype)
+            keep = np.asarray(keep, dtype=np.intp)
+            self._bits = np.ascontiguousarray(self._bits[:, keep])
+            self._values = np.ascontiguousarray(self._values[:, keep])
+            self._index_period()
 
     def reset(self, x: np.ndarray, dtype: DTypeLike = None) -> None:
         super().reset(x, dtype)
@@ -283,20 +298,26 @@ class PhaseEncoder(InputEncoder):
         scaled = np.round(np.asarray(self.input, dtype=np.float64) * (2**self.period)).astype(np.int64)
         scaled = np.clip(scaled, 0, 2**self.period - 1)
         bits = np.empty((self.period,) + self.input.shape, dtype=bool)
+        values = np.empty((self.period,) + self.input.shape, dtype=self.dtype)
         for p in range(self.period):
             # bit for weight 2^-(p+1) is bit (period-1-p) of the integer
             bits[p] = (scaled >> (self.period - 1 - p)) & 1
+            np.multiply(bits[p], (2.0 ** (-(1 + p))) * self.v_th, out=values[p])
         self._bits = bits
-        self._values = np.empty(self.input.shape, dtype=self.dtype)
+        self._values = values
+        self._index_period()
+
+    def _index_period(self) -> None:
+        """Build the per-phase steps (with their spike counts) once."""
+        self._steps = [
+            EncodedStep(values, bits, int(np.count_nonzero(bits)))
+            for values, bits in zip(self._values, self._bits)
+        ]
 
     def step(self, t: int) -> EncodedStep:
-        if self._bits is None or self._values is None:
+        if not self._steps:
             raise RuntimeError("encoder.reset(x) must be called before step()")
-        phase = t % self.period
-        spikes = self._bits[phase]
-        amplitude = (2.0 ** (-(1 + phase))) * self.v_th
-        np.multiply(spikes, amplitude, out=self._values)
-        return EncodedStep(values=self._values, spikes=spikes)
+        return self._steps[t % self.period]
 
 
 class BurstEncoder(InputEncoder):

@@ -13,13 +13,13 @@ them); max pooling uses the standard spiking gating approach of Rueckauer et
 al. [12]: each window forwards the amplitude of the input unit with the
 largest cumulative transmitted value.
 
-Every kernel primitive a layer's hot path touches — GEMMs, gathers, conv
-plans, pooling slabs and the IF/threshold elementwise updates — runs on the
-layer's resolved :class:`~repro.backends.base.KernelBackend` (``self.ops``,
-bound at ``reset``); the layers orchestrate *which* kernel runs per step but
-never call a kernel library directly.  The default numpy backend is the
-original code relocated behind the seam, so all guarantees below are
-unchanged.
+Each layer's ``step`` is the one implementation of its per-step update.
+Every kernel primitive it touches — GEMMs, gathers, conv plans, pooling slabs
+and the IF/threshold elementwise updates — runs on the layer's resolved
+:class:`~repro.backends.base.KernelBackend` (``self.ops``, bound at
+``reset``); the layers orchestrate *which* kernel runs per step but never
+call a kernel library directly.  The default numpy backend is the original
+code relocated behind the seam, so all guarantees below are unchanged.
 
 Performance contract
 --------------------
@@ -32,7 +32,8 @@ of the sparse paths):
   :mod:`repro.utils.dtypes`); per-step bias injection uses a precomputed
   ``bias_scale·b`` vector;
 * every synaptic layer dispatches each step through a per-layer
-  :class:`~repro.utils.sparsity.SparsityDispatcher`: an all-zero incoming
+  :class:`~repro.utils.sparsity.SparsityDispatcher` (``REPRO_SPARSE_MODE`` is
+  read once per reset, ``dispatcher.force`` every step): an all-zero incoming
   tensor short-circuits to a precomputed bias response (exact in every
   dtype); on the tolerance-based float32 path, measured activity below the
   layer's auto-calibrated crossover selects a **sparse kernel** —
@@ -61,14 +62,12 @@ bit for bit.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.ann.im2col import DirectConvPlan, Im2colPlan, conv_output_size
 from repro.backends import resolve_backend
-from repro.backends.programs import ComposedStepProgram, fused_programs_enabled
 from repro.snn.neurons import IFNeuronState, ResetMode
 from repro.snn.thresholds import ThresholdDynamics
 from repro.utils import sparsity
@@ -116,9 +115,8 @@ class SpikingLayer:
         #: forwards it to the next layer as ``incoming_nonzero`` so cheap
         #: layers can skip re-scanning their input for activity
         self.output_nonzero: Optional[int] = None
-        #: the compiled per-step program (fused when the backend offers one,
-        #: composed otherwise); dropped whenever captured buffers may change
-        self._program = None
+        #: ``REPRO_SPARSE_MODE`` as read at the most recent reset
+        self._sparse_env = sparsity.env_sparse_mode()
         #: extra component of the sparsity-calibration cache key; replica
         #: session pools set a per-replica tag so replicas calibrating the
         #: same geometry concurrently never contend on one cache entry
@@ -142,7 +140,7 @@ class SpikingLayer:
         self.backend_changed = self._ops is not None and resolved is not self._ops
         self._ops = resolved
         self.last_spikes = None
-        self._program = None
+        self._sparse_env = sparsity.env_sparse_mode()
 
     @property
     def ops(self):
@@ -168,40 +166,13 @@ class SpikingLayer:
         ``incoming_nonzero`` is an optional exact nonzero count of
         ``incoming`` supplied by the producing layer (see
         :attr:`output_nonzero`); layers may use it to skip an activity scan.
-
-        Runs through the layer's compiled :class:`~repro.backends.programs.
-        StepProgram` — fused when the backend offers one for this layer,
-        otherwise the composed multi-call body (:meth:`_step_composed`).
         """
-        program = self._program
-        if program is None:
-            program = self.ensure_step_program()
-        return program.run(incoming, t, incoming_nonzero)
-
-    def ensure_step_program(self):
-        """Resolve (compiling if needed) and cache the layer's step program.
-
-        Compilation is lazy — it happens on the first step after a reset —
-        so anything pinned between ``reset()`` and the first step (dispatcher
-        ``force`` modes, environment variables) is honoured.  The engine also
-        calls this eagerly at plan-prepare time and again after mid-run batch
-        shrinks so program resolution never lands inside the timed loop.
-        """
-        program = self._program
-        if program is None:
-            if fused_programs_enabled():
-                program = self.ops.compile_step_program(self)
-            if program is None:
-                program = ComposedStepProgram(self)
-            self._program = program
-        return program
-
-    def _step_composed(
-        self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
-    ) -> np.ndarray:
-        """The layer's original unfused step body (one backend primitive per
-        kernel) — the universal fallback every backend can run."""
         raise NotImplementedError
+
+    def _forced_mode(self) -> Optional[str]:
+        """The dispatcher's forced decision (``force``, else the environment
+        setting read at reset)."""
+        return self.dispatcher.resolve_force(self._sparse_env)
 
     def shrink_batch(self, keep: np.ndarray) -> None:
         """Keep only the batch rows ``keep`` (converged-image early exit).
@@ -214,8 +185,6 @@ class SpikingLayer:
             raise ValueError(f"{self.name}: shrink_batch requires at least one kept row")
         self.batch_size = int(keep.size)
         self.last_spikes = None
-        # compiled programs capture per-batch buffers — recompile after slicing
-        self._program = None
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         """Per-sample output shape given a per-sample input shape."""
@@ -257,34 +226,25 @@ class _SpikingNeuronLayer(SpikingLayer):
         self.dispatcher: Optional[SparsityDispatcher] = None
         self._input_period: Optional[int] = None
         self._z_cache: Optional[List[Optional[np.ndarray]]] = None
-        #: the engine's exact incoming nonzero count for the current step
-        #: (None outside an engine-driven step); lets _synaptic_input skip
-        #: the activity scan when the hint already decides the outcome
-        self._incoming_nonzero: Optional[int] = None
 
-    def _hinted_decision(self, incoming: np.ndarray) -> Optional[str]:
-        """Dispatch from the engine's nonzero-count hint when conclusive.
+    def _hinted_decision(
+        self, forced: Optional[str], hint: Optional[int], size: int
+    ) -> Optional[str]:
+        """Dispatch from the producer's exact nonzero count when conclusive.
 
-        The hint is exact, so a zero count is the (provably exact) empty
-        shortcut in every dtype.  A nonzero count settles the decision when
-        the sparse path cannot be taken anyway (exactness-gated float64), or
-        when the element fraction already reaches the crossover — the
-        structured (channel/feature) fraction is always ≥ the element
-        fraction, so the sparse branch could not have been chosen.
+        A zero count is the (provably exact) empty shortcut in every dtype.
+        A nonzero count settles the decision when the sparse path cannot be
+        taken anyway (exactness-gated float64), or when the element fraction
+        already reaches the crossover — the structured (channel/feature)
+        fraction is always ≥ the element fraction, so the sparse branch
+        could not have been chosen.  ``None`` means "scan the input".
         """
-        count = self._incoming_nonzero
-        self._incoming_nonzero = None
-        if count is None:
-            return None
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        if dispatcher.force is not None or os.environ.get("REPRO_SPARSE_MODE"):
+        if hint is None or forced is not None:
             return None  # forced modes keep the full (scanned) dispatch path
-        fraction = count / incoming.size
-        if count == 0:
-            return dispatcher.choose(0.0)
-        if dispatcher.exact_only or fraction >= dispatcher.crossover:
-            return dispatcher.choose(fraction)
+        dispatcher = self.dispatcher
+        fraction = hint / size
+        if hint == 0 or dispatcher.exact_only or fraction >= dispatcher.crossover:
+            return dispatcher.choose_resolved(None, fraction)
         return None
 
     def _state_shape(self, batch_size: int) -> Tuple[int, ...]:
@@ -333,7 +293,6 @@ class _SpikingNeuronLayer(SpikingLayer):
         the cache afterwards — bit-exact in every dtype, since the cached
         array *is* the earlier result.  ``None`` disables caching.
         """
-        self._program = None  # programs bind the cache list at compile time
         if period is None or period <= 0:
             self._input_period = None
             self._z_cache = None
@@ -359,15 +318,17 @@ class _SpikingNeuronLayer(SpikingLayer):
             ]
         self._prepare_buffers(self.batch_size)
 
-    def _synaptic_input(self, incoming: np.ndarray) -> np.ndarray:
+    def _synaptic_input(
+        self, incoming: np.ndarray, hint: Optional[int] = None
+    ) -> np.ndarray:
         raise NotImplementedError
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
-        if self.state is None:
+        state = self.state
+        if state is None:
             raise RuntimeError(f"{self.name}: reset(batch_size) must be called before step()")
-        self._incoming_nonzero = incoming_nonzero
         cache = self._z_cache
         if cache is not None:
             phase = t % self._input_period
@@ -375,17 +336,15 @@ class _SpikingNeuronLayer(SpikingLayer):
             if z is None:
                 # np.array copies the (possibly strided) result into a private
                 # contiguous block that survives future steps
-                z = np.array(self._synaptic_input(np.asarray(incoming)))
+                z = np.array(self._synaptic_input(np.asarray(incoming), incoming_nonzero))
                 cache[phase] = z
         else:
-            z = self._synaptic_input(np.asarray(incoming))
-        thresholds = self.threshold.thresholds(t)
-        spikes, amplitudes = self.state.step(z, thresholds)
-        self.threshold.update(
-            spikes, self.state.spike_signals, spike_count=self.state.last_spike_count
-        )
+            z = self._synaptic_input(np.asarray(incoming), incoming_nonzero)
+        spikes, amplitudes = state.step(z, self.threshold.thresholds(t))
+        count = state.last_spike_count
+        self.threshold.update(spikes, state.spike_signals, spike_count=count)
         self.last_spikes = spikes
-        self.output_nonzero = self.state.last_spike_count
+        self.output_nonzero = count
         return amplitudes
 
     def membrane(self) -> np.ndarray:
@@ -479,7 +438,7 @@ class SpikingDense(_SpikingNeuronLayer):
     def _calibrate_dispatcher(self) -> None:
         dispatcher = self.dispatcher
         assert dispatcher is not None
-        if dispatcher.exact_only or dispatcher._forced_mode() is not None:
+        if dispatcher.exact_only or self._forced_mode() is not None:
             return
         batch = self.batch_size or 1
         # keyed by backend: crossovers timed on one backend's kernels must
@@ -544,20 +503,21 @@ class SpikingDense(_SpikingNeuronLayer):
             ops.add_inplace(z, self._scaled_bias)
         return z
 
-    def _synaptic_input(self, incoming: np.ndarray) -> np.ndarray:
+    def _synaptic_input(
+        self, incoming: np.ndarray, hint: Optional[int] = None
+    ) -> np.ndarray:
         if incoming.ndim != 2 or incoming.shape[1] != self.in_features:
             raise ValueError(
                 f"{self.name}: expected incoming shape (N, {self.in_features}), "
                 f"got {incoming.shape}"
             )
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        decision = self._hinted_decision(incoming)  # EMPTY / DENSE / None
+        forced = self._forced_mode()
+        decision = self._hinted_decision(forced, hint, incoming.size)  # EMPTY / DENSE / None
         if decision is None:
             # dispatch metric: fraction of input features active anywhere in
             # the batch — the gather path's cost driver, exact for emptiness
             active = self.ops.active_features(incoming)
-            decision = dispatcher.choose(active.size / self.in_features)
+            decision = self.dispatcher.choose_resolved(forced, active.size / self.in_features)
             if decision == sparsity.SPARSE:
                 return self._sparse_input(incoming, active)
         if decision == sparsity.EMPTY:
@@ -726,7 +686,7 @@ class SpikingConv2D(_SpikingNeuronLayer):
         if (
             dispatcher.exact_only
             or not self._direct_available
-            or dispatcher._forced_mode() is not None
+            or self._forced_mode() is not None
         ):
             return
         batch = self.batch_size or 1
@@ -796,23 +756,24 @@ class SpikingConv2D(_SpikingNeuronLayer):
             incoming, taps, self._scaled_bias, active_channels=active
         )
 
-    def _synaptic_input(self, incoming: np.ndarray) -> np.ndarray:
+    def _synaptic_input(
+        self, incoming: np.ndarray, hint: Optional[int] = None
+    ) -> np.ndarray:
         expected_c = self.input_shape[0]
         if incoming.ndim != 4 or incoming.shape[1] != expected_c:
             raise ValueError(
                 f"{self.name}: expected incoming shape (N, {expected_c}, H, W), "
                 f"got {incoming.shape}"
             )
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        decision = self._hinted_decision(incoming)  # EMPTY / DENSE / None
+        forced = self._forced_mode()
+        decision = self._hinted_decision(forced, hint, incoming.size)  # EMPTY / DENSE / None
         if decision is None:
             # dispatch metric: fraction of input channels carrying any spike —
             # a cheap reduction that doubles as the sparse path's channel list
             # and is exact for empty detection (no active channel ⟺ all zero)
             active = self.ops.active_channels(incoming)
-            decision = dispatcher.choose(
-                active.size / expected_c, sparse_available=self._direct_available
+            decision = self.dispatcher.choose_resolved(
+                forced, active.size / expected_c, sparse_available=self._direct_available
             )
             if decision == sparsity.SPARSE:
                 return self._sparse_input(incoming, active)
@@ -882,7 +843,7 @@ class SpikingAvgPool2D(SpikingLayer):
         super().shrink_batch(keep)
         self._shape = None  # buffers rebuilt for the smaller batch on next step
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
         del t
@@ -899,7 +860,10 @@ class SpikingAvgPool2D(SpikingLayer):
             if incoming_nonzero is not None
             else ops.count_nonzero(incoming) / incoming.size
         )
-        if self.dispatcher.choose(fraction, sparse_available=False) == sparsity.EMPTY:
+        decision = self.dispatcher.choose_resolved(
+            self._forced_mode(), fraction, sparse_available=False
+        )
+        if decision == sparsity.EMPTY:
             # pooling an all-zero step is exactly zero in every dtype
             ops.fill(out, 0.0)
             return out
@@ -997,7 +961,7 @@ class SpikingMaxPool2D(SpikingLayer):
         self._gated = self.ops.empty((n, c, out_h, out_w), self.dtype)
         self._gated_flat = self._gated.reshape(-1)
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
         del t
@@ -1025,7 +989,10 @@ class SpikingMaxPool2D(SpikingLayer):
             if incoming_nonzero is not None
             else ops.count_nonzero(incoming) / incoming.size
         )
-        if self.dispatcher.choose(fraction, sparse_available=False) == sparsity.EMPTY:
+        decision = self.dispatcher.choose_resolved(
+            self._forced_mode(), fraction, sparse_available=False
+        )
+        if decision == sparsity.EMPTY:
             # nothing spiked: the cumulative evidence is unchanged, and every
             # window's winner forwards an amplitude of exactly zero
             assert self._gated is not None
@@ -1062,7 +1029,7 @@ class SpikingFlatten(SpikingLayer):
     def __init__(self, name: str = "spiking_flatten") -> None:
         super().__init__(name)
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
         del t
@@ -1135,7 +1102,7 @@ class OutputAccumulator(SpikingLayer):
             self._logits = np.ascontiguousarray(self._logits[keep])
             self._update = np.empty_like(self._logits)
 
-    def _step_composed(
+    def step(
         self, incoming: np.ndarray, t: int, incoming_nonzero: Optional[int] = None
     ) -> np.ndarray:
         del t, incoming_nonzero

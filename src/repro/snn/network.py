@@ -52,8 +52,7 @@ class SimulationConfig(FrozenConfig):
         engine's outputs bit for bit.
     backend:
         Compute backend running the kernel hot paths: a registered
-        :mod:`repro.backends` name (``"numpy"``, ``"numpy-blocked"``,
-        ``"torch"``, …) or ``None`` for the backend policy (the
+        :mod:`repro.backends` name (``"numpy"``, ``"torch"``, …) or ``None`` for the backend policy (the
         ``repro --backend`` flag / ``REPRO_BACKEND`` environment variable /
         the ``numpy`` reference backend).
     early_exit_patience:

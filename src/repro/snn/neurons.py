@@ -34,8 +34,7 @@ relocated original code, so the bit-identity guarantee is unchanged.
 Threshold positivity is validated once per simulation (on the first step
 after ``reset``) rather than every step; the threshold dynamics classes
 already guarantee positivity structurally (``v_th > 0`` at construction,
-burst/phase modulation factors are positive).  Scalar (0-d) thresholds are
-cheap enough to check every step and still are.
+burst/phase modulation factors are positive).
 """
 
 from __future__ import annotations
@@ -106,6 +105,7 @@ class IFNeuronState:
             raise ValueError(f"shape must contain positive dimensions, got {shape}")
         self.shape = tuple(int(dim) for dim in shape)
         self.reset_mode = ResetMode.from_value(reset_mode)
+        self._subtract_reset = self.reset_mode is ResetMode.SUBTRACT
         self.v_rest = float(v_rest)
         self.allow_negative_membrane = allow_negative_membrane
         self.dtype = resolve_dtype(dtype)
@@ -167,7 +167,7 @@ class IFNeuronState:
         """
         z = np.asarray(z, dtype=self.dtype)
         threshold = np.asarray(threshold, dtype=self.dtype)
-        if threshold.ndim == 0 or not self._threshold_validated:
+        if not self._threshold_validated:
             if np.any(threshold <= 0):
                 raise ValueError("thresholds must be strictly positive")
             self._threshold_validated = True
@@ -181,7 +181,7 @@ class IFNeuronState:
             spikes,
             self._spike_signals,
             amplitudes,
-            self.reset_mode is ResetMode.SUBTRACT,
+            self._subtract_reset,
             self.v_rest,
             self.allow_negative_membrane,
         )

@@ -94,6 +94,16 @@ def install_calibration_cache(snapshot: Dict[Tuple, float]) -> None:
     _CALIBRATION_CACHE.update(snapshot)
 
 
+def env_sparse_mode() -> Optional[str]:
+    """The ``REPRO_SPARSE_MODE`` setting, normalised (unset or ``auto`` →
+    ``None``); :meth:`SparsityDispatcher.resolve_force` validates it."""
+    mode = os.environ.get("REPRO_SPARSE_MODE")
+    if not mode:
+        return None
+    mode = mode.strip().lower()
+    return None if mode == "auto" else mode
+
+
 def nonzero_fraction(array: np.ndarray) -> float:
     """Fraction of nonzero entries — the measured activity of one step."""
     if array.size == 0:
@@ -181,15 +191,15 @@ class SparsityDispatcher:
         #: decisions taken since the last reset (diagnostics / tests)
         self.decisions: Dict[str, int] = {DENSE: 0, SPARSE: 0, EMPTY: 0}
 
-    def _forced_mode(self) -> Optional[str]:
+    def resolve_force(self, env_mode: Optional[str]) -> Optional[str]:
+        """The forced decision, if any: ``force`` wins over ``env_mode`` (a
+        :func:`env_sparse_mode` reading); unknown values are rejected."""
         mode = self.force
         if mode is None:
-            mode = os.environ.get("REPRO_SPARSE_MODE") or None
-            if mode is not None:
-                mode = mode.strip().lower()
-                if mode == "auto":
-                    mode = None
-        if mode is not None and mode not in (DENSE, SPARSE):
+            if env_mode is None:
+                return None
+            mode = env_mode
+        if mode not in (DENSE, SPARSE):
             raise ValueError(
                 f"{self.name}: sparse mode must be 'dense', 'sparse' or 'auto', got {mode!r}"
             )
@@ -220,7 +230,8 @@ class SparsityDispatcher:
         self.decisions = {DENSE: 0, SPARSE: 0, EMPTY: 0}
 
     def choose(self, fraction: float, sparse_available: bool = True) -> str:
-        """Pick the propagation kernel for one step.
+        """Pick the propagation kernel for one step, reading
+        ``REPRO_SPARSE_MODE`` afresh.
 
         Parameters
         ----------
@@ -230,18 +241,20 @@ class SparsityDispatcher:
             Whether the owning layer has a sparse kernel for the current
             geometry (e.g. strided convolutions fall back to dense).
         """
-        return self.choose_resolved(self._forced_mode(), fraction, sparse_available)
+        return self.choose_resolved(
+            self.resolve_force(env_sparse_mode()), fraction, sparse_available
+        )
 
     def choose_resolved(
         self, forced: Optional[str], fraction: float, sparse_available: bool = True
     ) -> str:
         """:meth:`choose` with the forced mode already resolved by the caller.
 
-        Fused step programs (:mod:`repro.backends.programs`) resolve the
-        ``REPRO_SPARSE_MODE`` environment variable once at compile time and
-        re-read only the cheap ``force`` attribute per step, so they call this
-        entry point directly; the decision logic and the ``decisions``
-        counters are exactly those of :meth:`choose`.
+        The spiking layers read ``REPRO_SPARSE_MODE`` once per reset and
+        re-read only the cheap ``force`` attribute per step (via
+        :meth:`resolve_force`), so they call this entry point directly; the
+        decision logic and the ``decisions`` counters are exactly those of
+        :meth:`choose`.
         """
         if forced == DENSE:
             decision = DENSE

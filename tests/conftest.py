@@ -104,3 +104,27 @@ def numerical_gradient(func, array: np.ndarray, eps: float = 1e-5) -> np.ndarray
 def grad_checker():
     """Expose the numerical-gradient helper to tests as a fixture."""
     return numerical_gradient
+
+
+#: registry name of the :func:`alt_backend` test double
+ALT_BACKEND = "numpy-alt"
+
+
+@pytest.fixture
+def alt_backend():
+    """Register a second backend (the numpy kernels under another name) for
+    the duration of one test, for the registry, cache-keying and
+    backend-switch tests that need two distinct backends."""
+    from repro.backends import registry
+    from repro.backends.numpy_backend import NumpyBackend
+
+    class AltBackend(NumpyBackend):
+        name = ALT_BACKEND
+        description = "numpy kernels under a second name (test double)"
+
+    registry.register_backend(ALT_BACKEND, description=AltBackend.description)(AltBackend)
+    try:
+        yield ALT_BACKEND
+    finally:
+        registry._REGISTRY.pop(ALT_BACKEND, None)
+        registry._INSTANCES.pop(ALT_BACKEND, None)

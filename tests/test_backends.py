@@ -1,6 +1,6 @@
 """Backend registry, resolution and cross-backend parity (golden suite).
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 * the registry plumbing — registration, did-you-mean errors, env var /
   override / explicit-config resolution order, clean unavailability of
@@ -14,7 +14,10 @@ Four layers of guarantees:
   reference (``benchmarks/perf/seed_reference.json``, enforced by
   ``tests/test_dtype_policy.py``) pins this backend's float64 outputs;
 * the calibration-cache keying — sparsity crossovers are cached per backend
-  so mixed-backend processes cannot cross-contaminate dispatch decisions.
+  so mixed-backend processes cannot cross-contaminate dispatch decisions;
+* the **seam contract** — each neuron layer's step routes its GEMM, its IF
+  update and its burst-threshold update through its backend (``self.ops``),
+  which is all a backend such as torch needs to override.
 """
 
 import numpy as np
@@ -32,8 +35,11 @@ from repro.backends import (
     set_default_backend,
 )
 from repro.backends.base import KernelBackend
+from repro.backends.numpy_backend import NumpyBackend
 from repro.conversion.converter import convert_to_snn
 from repro.core.hybrid import HybridCodingScheme
+from repro.engine.plan import plan_simulation
+from repro.engine.run import execute
 from repro.snn.network import SimulationConfig
 
 #: the schemes the parity matrix exercises: the paper's proposal (conv sparse
@@ -69,9 +75,8 @@ def parity_snn_factory(trained_cnn, tiny_color_split):
 class TestBackendRegistry:
     def test_numpy_backends_always_available(self):
         names = backend_names()
-        assert "numpy" in names and "numpy-blocked" in names and "torch" in names
-        available = _available_backends()
-        assert "numpy" in available and "numpy-blocked" in available
+        assert "numpy" in names and "torch" in names
+        assert "numpy" in _available_backends()
 
     def test_resolution_is_cached_singleton(self):
         assert resolve_backend("numpy") is resolve_backend("numpy")
@@ -85,14 +90,14 @@ class TestBackendRegistry:
         instance = resolve_backend("numpy")
         assert resolve_backend(instance) is instance
 
-    def test_default_resolution_order(self, monkeypatch):
+    def test_default_resolution_order(self, monkeypatch, alt_backend):
         # 4) project default
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert default_backend_name() == "numpy"
         # 3) environment variable
-        monkeypatch.setenv("REPRO_BACKEND", "numpy-blocked")
-        assert default_backend_name() == "numpy-blocked"
-        assert resolve_backend().name == "numpy-blocked"
+        monkeypatch.setenv("REPRO_BACKEND", alt_backend)
+        assert default_backend_name() == alt_backend
+        assert resolve_backend().name == alt_backend
         # 2) process-wide override beats the env var
         try:
             set_default_backend("numpy")
@@ -103,10 +108,10 @@ class TestBackendRegistry:
         with backend_scope("numpy") as backend:
             assert backend.name == "numpy"
             assert resolve_backend().name == "numpy"
-        assert default_backend_name() == "numpy-blocked"
+        assert default_backend_name() == alt_backend
 
-    def test_simulation_config_validates_backend(self):
-        SimulationConfig(backend="numpy-blocked")
+    def test_simulation_config_validates_backend(self, alt_backend):
+        SimulationConfig(backend=alt_backend)
         SimulationConfig(backend=None)
         with pytest.raises(ValueError, match="did you mean"):
             SimulationConfig(backend="nmpy")
@@ -194,7 +199,9 @@ class TestNumpyReferenceBitIdentity:
 
 
 class TestCalibrationCacheKeying:
-    def test_crossover_cache_is_keyed_by_backend(self, parity_snn_factory, tiny_color_split):
+    def test_crossover_cache_is_keyed_by_backend(
+        self, parity_snn_factory, tiny_color_split, alt_backend
+    ):
         """Resetting the same geometry under two backends must create two
         cache entries (never share one timing-probed crossover)."""
         from repro.utils.sparsity import (
@@ -209,16 +216,16 @@ class TestCalibrationCacheKeying:
             config = SimulationConfig(time_steps=4, dtype="float32")
             snn.run(x, config.replace(backend="numpy"))
             keys_numpy = set(calibration_cache_snapshot())
-            snn.run(x, config.replace(backend="numpy-blocked"))
+            snn.run(x, config.replace(backend=alt_backend))
             keys_both = set(calibration_cache_snapshot())
             assert keys_numpy, "float32 reset must calibrate at least one layer"
             assert all("numpy" in key for key in keys_numpy)
             added = keys_both - keys_numpy
-            assert added and all("numpy-blocked" in key for key in added)
+            assert added and all(alt_backend in key for key in added)
         finally:
             clear_calibration_cache()
 
-    def test_layer_cache_key_carries_backend_name(self):
+    def test_layer_cache_key_carries_backend_name(self, alt_backend):
         """The dispatcher cache key a layer builds includes its backend."""
         from repro.snn.layers import SpikingDense
         from repro.snn.thresholds import BurstThreshold
@@ -233,275 +240,95 @@ class TestCalibrationCacheKeying:
         )
         clear_calibration_cache()
         try:
-            layer.reset(4, dtype="float32", backend="numpy-blocked")
+            layer.reset(4, dtype="float32", backend=alt_backend)
             keys = list(calibration_cache_snapshot())
-            assert keys and any("numpy-blocked" in key for key in keys)
+            assert keys and any(alt_backend in key for key in keys)
         finally:
             clear_calibration_cache()
 
 
-class TestBlockedBackendKernels:
-    def test_tiled_matmul_matches_monolithic(self):
-        from repro.backends.blocked import BlockedNumpyBackend
+class CountingBackend(NumpyBackend):
+    """The numpy kernels, counting every call of the seam-contract primitives."""
 
-        backend = BlockedNumpyBackend(min_rows=8, threads=1)
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((100, 17)).astype(np.float32)
-        b = rng.standard_normal((17, 23)).astype(np.float32)
-        out = np.empty((100, 23), dtype=np.float32)
-        backend.matmul(a, b, out)
-        assert np.allclose(out, a @ b, rtol=1e-5, atol=1e-6)
+    name = "numpy-counting"
+    COUNTED = ("matmul", "if_step", "burst_grow", "burst_commit_signals")
 
-    def test_threaded_tiling_matches_sequential(self):
-        from repro.backends.blocked import BlockedNumpyBackend
+    def __init__(self) -> None:
+        self.calls = dict.fromkeys(self.COUNTED, 0)
 
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((64, 9)).astype(np.float64)
-        b = rng.standard_normal((9, 5)).astype(np.float64)
-        sequential = BlockedNumpyBackend(min_rows=8, threads=1)
-        threaded = BlockedNumpyBackend(min_rows=8, threads=3)
-        out_seq = np.empty((64, 5))
-        out_thr = np.empty((64, 5))
-        sequential.matmul(a, b, out_seq)
-        threaded.matmul(a, b, out_thr)
-        assert np.array_equal(out_seq, out_thr)
+    def matmul(self, a, b, out):
+        self.calls["matmul"] += 1
+        return super().matmul(a, b, out)
 
-    def test_small_gemm_runs_unsplit(self):
-        from repro.backends.blocked import BlockedNumpyBackend
+    def if_step(self, *args):
+        self.calls["if_step"] += 1
+        return super().if_step(*args)
 
-        backend = BlockedNumpyBackend(min_rows=64, threads=1)
-        a = np.ones((4, 3))
-        b = np.ones((3, 2))
-        out = np.empty((4, 2))
-        backend.matmul(a, b, out)
-        assert np.array_equal(out, a @ b)
+    def burst_grow(self, *args):
+        self.calls["burst_grow"] += 1
+        return super().burst_grow(*args)
+
+    def burst_commit_signals(self, *args):
+        self.calls["burst_commit_signals"] += 1
+        return super().burst_commit_signals(*args)
 
 
-class TestFusedStepPrograms:
-    """Fused per-step kernel programs (``repro.backends.programs``).
+class TestSeamContract:
+    """Each neuron layer's one step body runs its kernels on ``self.ops``.
 
-    Three guarantees: fused programs are what the engine runs by default
-    (and compile to actually-fused objects on the numpy backends); they
-    reproduce the composed per-kernel path bit for bit on the numpy
-    backends (prediction-level on torch); and they genuinely collapse the
-    backend seam — far fewer counted backend invocations per layer per
-    step than the composed path.
+    This is what lets a backend (torch) take over the hot path by overriding
+    primitives only.  Float64 keeps every layer on the dense GEMM path, and
+    an input strong enough to make every neuron fire keeps the burst update
+    off its silent-step shortcut, so each step makes exactly one call of
+    each counted primitive.
     """
 
-    FUSED_BACKENDS = ("numpy", "numpy-blocked", "torch")
-
     @staticmethod
-    def _profile_stack():
-        from repro.snn.layers import (
-            OutputAccumulator,
-            SpikingAvgPool2D,
-            SpikingConv2D,
-            SpikingDense,
-            SpikingFlatten,
-            SpikingMaxPool2D,
-        )
+    def _layers():
+        from repro.snn.layers import SpikingConv2D, SpikingDense
         from repro.snn.thresholds import BurstThreshold
 
-        rng = np.random.default_rng(11)
-        layers = [
-            SpikingConv2D(
-                rng.normal(scale=0.1, size=(4, 4, 3, 3)),
-                rng.normal(scale=0.1, size=4),
-                BurstThreshold(v_th=0.125),
-                padding=1,
-                input_shape=(4, 8, 8),
-                name="conv",
-            ),
-            SpikingAvgPool2D(2, name="avgpool"),
-            SpikingMaxPool2D(2, name="maxpool"),
-            SpikingFlatten(name="flatten"),
-            SpikingDense(
-                rng.normal(scale=0.1, size=(4 * 2 * 2, 12)),
-                rng.normal(scale=0.05, size=12),
-                BurstThreshold(v_th=0.125),
-                name="dense",
-            ),
-            OutputAccumulator(
-                rng.normal(scale=0.1, size=(12, 4)),
-                rng.normal(scale=0.05, size=4),
-                name="output",
-            ),
-        ]
-        x = np.asarray((rng.random((4, 4, 8, 8)) < 0.3) * 0.125, dtype=np.float32)
-        return layers, x
-
-    @staticmethod
-    def _count_seam_calls(layers, x, fused: bool, steps: int = 8) -> int:
-        from repro.backends import fused_scope, get_backend
-        from repro.backends.instrument import InstrumentedBackend
-
-        backend = InstrumentedBackend(get_backend("numpy"))
-        with fused_scope(fused):
-            for layer in layers:
-                layer.reset(x.shape[0], dtype="float32", backend=backend)
-            programs = [layer.ensure_step_program() for layer in layers]
-            assert all(program.fused == fused for program in programs)
-
-            def one_step(t):
-                values, hint = x, None
-                for layer, program in zip(layers, programs):
-                    layer.output_nonzero = None
-                    values = program.run(values, t, hint)
-                    hint = layer.output_nonzero
-
-            one_step(0)  # lazy buffer builds happen outside the counted region
-            backend.recorder.reset()
-            for t in range(1, 1 + steps):
-                one_step(t)
-        snapshot = backend.recorder.snapshot()
-        return sum(
-            entry["calls"]
-            for name, entry in snapshot.items()
-            if not name.startswith("program:")
-        ), steps, len(layers)
-
-    def test_fused_path_collapses_backend_seam(self):
-        """≤ 2 counted backend invocations per layer per step when fused,
-        and a large multiple of that on the composed path."""
-        layers, x = self._profile_stack()
-        composed, steps, n_layers = self._count_seam_calls(layers, x, fused=False)
-        fused, _, _ = self._count_seam_calls(layers, x, fused=True)
-        assert fused <= 2 * n_layers * steps, (
-            f"fused path crossed the seam {fused} times over {steps} steps × "
-            f"{n_layers} layers — programs are not fusing the kernel chains"
+        rng = np.random.default_rng(9)
+        dense = SpikingDense(
+            np.abs(rng.normal(size=(12, 6))), None, BurstThreshold(v_th=0.125), name="dense"
         )
-        assert composed >= 2 * fused, (
-            f"composed path made {composed} backend calls vs {fused} fused — "
-            "the instrumented comparison lost its contrast"
+        conv = SpikingConv2D(
+            np.abs(rng.normal(size=(3, 2, 3, 3))), None, BurstThreshold(v_th=0.125),
+            padding=1, input_shape=(2, 5, 5), name="conv",
         )
+        return [(dense, np.ones((2, 12))), (conv, np.ones((2, 2, 5, 5)))]
 
-    def test_fused_is_the_default_and_scope_restores(self):
-        from repro.backends import fused_programs_enabled, fused_scope
-
-        assert fused_programs_enabled()
-        with fused_scope(False):
-            assert not fused_programs_enabled()
-        assert fused_programs_enabled()
+    def test_neuron_layer_step_routes_kernels_through_ops(self):
+        steps = 5
+        for layer, x in self._layers():
+            backend = CountingBackend()
+            layer.reset(x.shape[0], dtype="float64", backend=backend)
+            for t in range(steps):
+                layer.step(x, t, int(np.count_nonzero(x)))
+                assert layer.output_nonzero == layer.state.num_neurons * x.shape[0]
+            assert backend.calls == dict.fromkeys(CountingBackend.COUNTED, steps), (
+                f"{layer.name}: {backend.calls}"
+            )
 
     @pytest.mark.parametrize("notation", PARITY_SCHEMES)
-    @pytest.mark.parametrize("dtype", PARITY_DTYPES)
-    @pytest.mark.parametrize("backend", FUSED_BACKENDS)
-    def test_fused_matches_composed(
-        self, parity_snn_factory, tiny_color_split, notation, dtype, backend
-    ):
-        """Fused programs replay the composed path's exact kernel sequences:
-        bit-identical histories and spike counts on the numpy backends (the
-        float64 rows are the bit-identity gate — the composed float64 path is
-        pinned to the seed reference by ``tests/test_dtype_policy.py``);
-        prediction-level agreement on torch."""
-        from repro.backends import fused_scope
-
-        if backend not in _available_backends():
-            pytest.skip(f"{backend} backend unavailable here")
-        x = tiny_color_split.test.x[:6]
+    def test_float64_outputs_match_numpy(self, parity_snn_factory, tiny_color_split, notation):
+        x = tiny_color_split.test.x[:4]
         snn = parity_snn_factory(notation)
-        config = SimulationConfig(time_steps=30, dtype=dtype, backend=backend)
-        with fused_scope(False):
-            composed = snn.run(x, config)
-        with fused_scope(True):
-            fused = snn.run(x, config)
-        if backend == "torch":
-            assert np.array_equal(composed.predictions(), fused.predictions())
-            spikes_c, spikes_f = composed.total_spikes(), fused.total_spikes()
-            assert abs(spikes_f - spikes_c) <= max(5, 0.01 * spikes_c)
-        else:
-            assert np.array_equal(composed.output_history, fused.output_history), (
-                f"{backend} fused output diverged from composed ({notation}, {dtype})"
-            )
-            assert composed.total_spikes() == fused.total_spikes()
-
-    def test_blocked_tiled_fused_dense_matches_composed(self):
-        """The blocked backend's tiled fused dense program (whole chain
-        sharded per row block) is bit-identical to the composed path on the
-        same backend, sequential and threaded."""
-        from repro.backends import fused_scope
-        from repro.backends.blocked import BlockedNumpyBackend, _BlockedFusedDenseProgram
-        from repro.snn.layers import SpikingDense
-        from repro.snn.thresholds import BurstThreshold
-
-        rng = np.random.default_rng(7)
-        w = rng.normal(scale=0.1, size=(24, 16))
-        bias = rng.normal(scale=0.05, size=16)
-        steps = 12
-        batch = 12
-        x = np.asarray(
-            (rng.random((steps, batch, 24)) < 0.3) * 0.125, dtype=np.float64
-        )
-        for threads in (1, 3):
-            backend = BlockedNumpyBackend(min_rows=3, threads=threads)
-            histories = {}
-            spikes = {}
-            for fused in (False, True):
-                layer = SpikingDense(w, bias, BurstThreshold(v_th=0.125), name="dense")
-                with fused_scope(fused):
-                    layer.reset(batch, dtype="float64", backend=backend)
-                    program = layer.ensure_step_program()
-                    if fused:
-                        assert type(program) is _BlockedFusedDenseProgram
-                    history = [
-                        np.array(program.run(x[t], t, None)) for t in range(steps)
-                    ]
-                histories[fused] = np.stack(history)
-                spikes[fused] = int(layer.state.total_spikes)
-            assert np.array_equal(histories[False], histories[True]), (
-                f"tiled fused dense diverged from composed (threads={threads})"
-            )
-            assert spikes[False] == spikes[True]
-
-    def test_composed_fallback_for_minimal_backend(self):
-        """A backend that only implements the unfused primitives still works:
-        its layers run on ``ComposedStepProgram`` (base-class fallback)."""
-        from repro.backends import ComposedStepProgram
-        from repro.backends.numpy_backend import NumpyBackend
-        from repro.snn.layers import SpikingDense
-        from repro.snn.thresholds import BurstThreshold
-
-        class MinimalBackend(NumpyBackend):
-            name = "minimal-test"
-            description = "primitives only (test double)"
-
-            def compile_step_program(self, layer):  # the base-class default
-                from repro.backends.base import KernelBackend
-
-                return KernelBackend.compile_step_program(self, layer)
-
-        rng = np.random.default_rng(5)
-        layer = SpikingDense(
-            rng.normal(scale=0.1, size=(16, 8)), None, BurstThreshold(v_th=0.125)
-        )
-        layer.reset(4, dtype="float32", backend=MinimalBackend())
-        program = layer.ensure_step_program()
-        assert type(program) is ComposedStepProgram and not program.fused
-        x = np.asarray((rng.random((4, 16)) < 0.4) * 0.125, dtype=np.float32)
-        out = program.run(x, 0, None)
-        assert out.shape == (4, 8)
-
-    def test_programs_invalidate_on_reset_and_shrink(self):
-        from repro.snn.layers import SpikingDense
-        from repro.snn.thresholds import BurstThreshold
-
-        rng = np.random.default_rng(6)
-        layer = SpikingDense(
-            rng.normal(scale=0.1, size=(16, 8)), None, BurstThreshold(v_th=0.125)
-        )
-        layer.reset(4, dtype="float32", backend="numpy")
-        program = layer.ensure_step_program()
-        assert layer.ensure_step_program() is program  # cached while valid
-        layer.reset(4, dtype="float32", backend="numpy")
-        assert layer._program is None  # reset invalidates
-        rebuilt = layer.ensure_step_program()
-        layer.shrink_batch(np.array([0, 2]))
-        assert layer._program is None  # shrink invalidates (stale buffer views)
-        assert layer.ensure_step_program() is not rebuilt
+        config = SimulationConfig(time_steps=30, dtype="float64")
+        reference = snn.run(x, config.replace(backend="numpy"))
+        backend = CountingBackend()
+        plan = plan_simulation(snn, config)
+        plan.backend = backend
+        counted = execute(plan.prepare(x))
+        assert np.array_equal(reference.output_history, counted.output_history)
+        assert reference.total_spikes() == counted.total_spikes()
+        neuron_layers = sum(layer.is_spiking for layer in snn.layers)
+        assert backend.calls["if_step"] == neuron_layers * config.time_steps
+        assert backend.calls["matmul"] > 0 and backend.calls["burst_grow"] > 0
 
 
 class TestBackendSwitchInvalidation:
-    def test_dense_buffers_rebuilt_on_backend_switch(self):
+    def test_dense_buffers_rebuilt_on_backend_switch(self, alt_backend):
         from repro.snn.layers import SpikingDense
         from repro.snn.thresholds import BurstThreshold
 
@@ -513,12 +340,12 @@ class TestBackendSwitchInvalidation:
         layer.reset(4, dtype="float32", backend="numpy")
         assert layer._z is z_numpy and layer.state is state_numpy
         # backend switch: everything the old backend built is rebuilt
-        layer.reset(4, dtype="float32", backend="numpy-blocked")
+        layer.reset(4, dtype="float32", backend=alt_backend)
         assert layer.backend_changed
         assert layer._z is not z_numpy and layer.state is not state_numpy
-        assert layer.ops.name == "numpy-blocked"
+        assert layer.ops.name == alt_backend
 
-    def test_conv_plans_rebuilt_on_backend_switch(self):
+    def test_conv_plans_rebuilt_on_backend_switch(self, alt_backend):
         from repro.snn.layers import SpikingConv2D
         from repro.snn.thresholds import BurstThreshold
 
@@ -531,18 +358,20 @@ class TestBackendSwitchInvalidation:
         x = np.asarray(rng.random((2, 3, 8, 8)) < 0.4, dtype=np.float32) * 0.125
         layer.step(x, 0)
         plan_numpy = layer._plan or layer._direct
-        layer.reset(2, dtype="float32", backend="numpy-blocked")
+        layer.reset(2, dtype="float32", backend=alt_backend)
         layer.step(x, 0)
         assert (layer._plan or layer._direct) is not plan_numpy
 
-    def test_switching_backends_preserves_results(self, parity_snn_factory, tiny_color_split):
-        """numpy → blocked → numpy on one network: the final numpy run must
-        be bit-identical to the first (no stale cross-backend state)."""
+    def test_switching_backends_preserves_results(
+        self, parity_snn_factory, tiny_color_split, alt_backend
+    ):
+        """numpy → alt → numpy on one network: the final numpy run must be
+        bit-identical to the first (no stale cross-backend state)."""
         x = tiny_color_split.test.x[:4]
         snn = parity_snn_factory("phase-burst")
         config = SimulationConfig(time_steps=30, dtype="float64")
         first = snn.run(x, config.replace(backend="numpy"))
-        snn.run(x, config.replace(backend="numpy-blocked"))
+        snn.run(x, config.replace(backend=alt_backend))
         again = snn.run(x, config.replace(backend="numpy"))
         assert np.array_equal(first.output_history, again.output_history)
         assert first.total_spikes() == again.total_spikes()

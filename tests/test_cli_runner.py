@@ -208,7 +208,6 @@ class TestCliBackends:
         assert main(["--list-backends"]) == 0
         out = capsys.readouterr().out
         assert "numpy (default)" in out
-        assert "numpy-blocked" in out
         assert "torch" in out
         assert "effective backend" in out
 
@@ -218,22 +217,22 @@ class TestCliBackends:
         assert "did you mean 'numpy'" in err
         assert "--list-backends" in err
 
-    def test_backend_flag_sets_process_default(self, capsys):
+    def test_backend_flag_sets_process_default(self, capsys, alt_backend):
         from repro.backends import default_backend_name, set_default_backend
 
         try:
-            assert main(["--backend", "numpy-blocked", "info"]) == 0
-            assert default_backend_name() == "numpy-blocked"
+            assert main(["--backend", alt_backend, "info"]) == 0
+            assert default_backend_name() == alt_backend
         finally:
             set_default_backend(None)
 
-    def test_compare_on_blocked_backend(self, capsys):
+    def test_compare_on_selected_backend(self, capsys, alt_backend):
         from repro.backends import set_default_backend
 
         try:
             code = main(
                 [
-                    "--backend", "numpy-blocked",
+                    "--backend", alt_backend,
                     "compare",
                     "--schemes", "real-burst",
                     "--dataset", "mnist",

@@ -217,32 +217,16 @@ def test_margin_curves_stay_complete(converted_snn, test_batch):
         assert np.array_equal(result.output_history[-1, image], converged)
 
 
-# -- fused step programs × early exit ---------------------------------------
+# -- mid-run shrinks ----------------------------------------------------------
 #
-# Early exit shrinks every layer's per-batch buffers mid-simulation; compiled
-# step programs capture those buffers, so ``shrink_batch`` must invalidate
-# the programs and the engine must re-fetch them before the next step.  These
-# are the regression tests for that interaction (the original bug: programs
-# kept writing through stale pre-shrink views).
+# Early exit shrinks every layer's per-batch buffers mid-simulation; the next
+# step must run on the rebuilt buffers (the original bug: steps kept writing
+# through stale pre-shrink views).
 
 
-def test_early_exit_fused_matches_composed(converted_snn, test_batch):
-    from repro.backends import fused_scope
-
-    x, y = test_batch
-    config = SimulationConfig(time_steps=60, early_exit_patience=8)
-    with fused_scope(False):
-        composed = converted_snn.run(x, config, labels=y)
-    with fused_scope(True):
-        fused = converted_snn.run(x, config, labels=y)
-    assert np.array_equal(composed.output_history, fused.output_history)
-    assert np.array_equal(composed.frozen_at, fused.frozen_at)
-    assert composed.total_spikes() == fused.total_spikes()
-
-
-def test_aggressive_patience_shrink_on_fused_path(converted_snn, test_batch):
-    """Aggressive patience forces repeated shrinks while fused programs are
-    live; predictions must still match the dense (never-shrinking) run."""
+def test_aggressive_patience_repeated_shrinks(converted_snn, test_batch):
+    """Aggressive patience forces repeated shrinks; predictions must still
+    match the dense (never-shrinking) run."""
     x, y = test_batch
     shrunk = converted_snn.run(
         x, SimulationConfig(time_steps=200, early_exit_patience=5), labels=y
@@ -252,9 +236,9 @@ def test_aggressive_patience_shrink_on_fused_path(converted_snn, test_batch):
     assert np.array_equal(shrunk.predictions(), dense.predictions())
 
 
-def test_early_exit_fused_sharded_evaluation(trained_cnn, tiny_color_split, monkeypatch):
-    """early_exit_patience + fused programs + sharded evaluation: the merged
-    sharded run equals the sequential one, shrink included."""
+def test_early_exit_sharded_evaluation(trained_cnn, tiny_color_split, monkeypatch):
+    """early_exit_patience + sharded evaluation: the merged sharded run
+    equals the sequential one, shrink included."""
     from repro.core.pipeline import PipelineConfig, SNNInferencePipeline
 
     scheme = HybridCodingScheme.from_notation("phase-burst", v_th=0.125)

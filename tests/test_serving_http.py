@@ -140,11 +140,27 @@ class TestErrorMapping:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
 
-    def test_wrong_shape_400(self, served):
-        server, _, _ = served
-        status, body = _post(server.url + "/v1/classify", {"image": [[1.0, 2.0]]})
+    @pytest.mark.parametrize(
+        "pixel, error",
+        [
+            (None, "does not match"),
+            (float("nan"), "non-finite"),
+            (float("inf"), "non-finite"),
+            (float("-inf"), "non-finite"),
+            ("nan", "non-finite"),
+        ],
+        ids=["wrong-shape", "nan", "inf", "-inf", "nan-string"],
+    )
+    def test_bad_image_400(self, served, pixel, error):
+        server, _, test_x = served
+        if pixel is None:
+            image = [[1.0, 2.0]]
+        else:
+            image = test_x[0].tolist()
+            image[0][0][0] = pixel  # json.dumps writes NaN / Infinity literals
+        status, body = _post(server.url + "/v1/classify", {"image": image})
         assert status == 400
-        assert "does not match" in body["error"]
+        assert error in body["error"]
 
     def test_error_before_body_read_closes_keepalive_connection(self, served):
         """A POST rejected before its body is consumed must not keep the
