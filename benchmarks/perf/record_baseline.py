@@ -79,19 +79,19 @@ def record_baseline() -> dict:
 
     num_images = min(16, BENCH_NUM_IMAGES)
 
-    t0 = time.perf_counter()
+    t0 = time.monotonic()
     workload = cifar10_workload(samples_per_class=BENCH_SAMPLES_PER_CLASS, epochs=15, seed=0)
-    workload_seconds = time.perf_counter() - t0
+    workload_seconds = time.monotonic() - t0
 
     pipeline = make_pipeline(workload, time_steps=BENCH_TIME_STEPS, num_images=num_images, seed=0)
     pipeline.dnn_accuracy  # warm the caches outside the timed region
     pipeline.normalization
     scheme = HybridCodingScheme.from_notation("phase-burst", v_th=0.125)
-    t0 = time.perf_counter()
+    t0 = time.monotonic()
     run = pipeline.run_scheme(scheme)
-    scheme_seconds = time.perf_counter() - t0
+    scheme_seconds = time.monotonic() - t0
 
-    t0 = time.perf_counter()
+    t0 = time.monotonic()
     rows = run_table2(
         datasets=("cifar10",),
         workloads={"cifar10": workload},
@@ -99,7 +99,7 @@ def record_baseline() -> dict:
         num_images=num_images,
         target_fraction=0.99,
     )
-    block_seconds = time.perf_counter() - t0
+    block_seconds = time.monotonic() - t0
 
     return {
         "description": "seed-engine wall-clock baseline for the Table 2 VGG workload",

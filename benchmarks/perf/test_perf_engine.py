@@ -22,7 +22,7 @@ import perf_cases
 from repro.backends import default_backend_name
 from repro.core.hybrid import HybridCodingScheme
 from repro.utils.dtypes import simulation_dtype, simulation_precision
-from repro.utils.timing import load_bench_json, write_bench_json
+from repro.utils.timing import Timer, load_bench_json, write_bench_json
 
 pytestmark = pytest.mark.perf
 
@@ -199,16 +199,15 @@ def test_early_exit_sharded_matches_dense(perf_report, cifar10_vgg_workload):
     skipped; the statistical assertions run everywhere.
     """
     import os
-    import time
 
     from repro.core.pipeline import PipelineConfig, SNNInferencePipeline
 
     scale = perf_cases.current_scale()
     pipeline = perf_cases.build_vgg_pipeline(cifar10_vgg_workload)
     scheme = HybridCodingScheme.from_notation("phase-burst", v_th=0.125)
-    dense_start = time.perf_counter()
-    dense_run = pipeline.run_scheme(scheme)
-    dense_seconds = time.perf_counter() - dense_start
+    with Timer() as dense_timer:
+        dense_run = pipeline.run_scheme(scheme)
+    dense_seconds = dense_timer.seconds
 
     fast_pipeline = SNNInferencePipeline(
         cifar10_vgg_workload.model,
@@ -222,9 +221,9 @@ def test_early_exit_sharded_matches_dense(perf_report, cifar10_vgg_workload):
             num_workers=2,
         ),
     )
-    start = time.perf_counter()
-    fast_run = fast_pipeline.run_scheme(scheme, keep_batch_results=True)
-    fast_seconds = time.perf_counter() - start
+    with Timer() as fast_timer:
+        fast_run = fast_pipeline.run_scheme(scheme, keep_batch_results=True)
+    fast_seconds = fast_timer.seconds
 
     # frozen images stop spiking, so the Table 2 density over the *full* time
     # budget shrinks by design; the apples-to-apples comparison is the

@@ -129,10 +129,10 @@ def run_load(
     """
     offsets = bursty_offsets(num_requests, burst_size, burst_interval_s)
     records: List[Optional[RequestRecord]] = [None] * num_requests
-    start = time.perf_counter() + 0.05  # common epoch, slightly in the future
+    start = time.monotonic() + 0.05  # common epoch, slightly in the future
 
     def fire(index: int) -> None:
-        delay = start + offsets[index] - time.perf_counter()
+        delay = start + offsets[index] - time.monotonic()
         if delay > 0:
             time.sleep(delay)
         payload: Dict[str, object] = {"image": images[index % len(images)]}
@@ -142,12 +142,12 @@ def run_load(
             payload["priority"] = priority
         if client_id is not None:
             payload["client_id"] = client_id
-        sent = time.perf_counter()
+        sent = time.monotonic()
         status, body = _post_classify(url, payload, timeout_s)
         records[index] = RequestRecord(
             index=index,
             status=status,
-            latency_ms=(time.perf_counter() - sent) * 1000.0,
+            latency_ms=(time.monotonic() - sent) * 1000.0,
             scheduled_at_s=offsets[index],
             body=body,
         )
@@ -160,7 +160,7 @@ def run_load(
         thread.start()
     for thread in threads:
         thread.join(timeout=timeout_s + 60.0)
-    wall_s = time.perf_counter() - start
+    wall_s = time.monotonic() - start
     done = [record for record in records if record is not None]
     return LoadResult(records=done, wall_s=wall_s)
 

@@ -112,8 +112,8 @@ def main() -> None:
         print(notation.ljust(14) + "".join(cells))
 
     # Serving workflow: one InferenceSession per deployed scheme — the
-    # conversion, simulation plan and kernel calibrations are paid once and
-    # every subsequent request only runs the step loop.
+    # conversion, simulation plan and kernel plans are built once and every
+    # subsequent request only runs the step loop.
     scheme = HybridCodingScheme.from_notation("phase-burst", v_th=args.v_th)
     session = InferenceSession(
         pipeline.build_snn(scheme), SimulationConfig(time_steps=args.time_steps)

@@ -26,13 +26,13 @@ Run with:  PYTHONPATH=src python examples/serving_client.py
 """
 
 import json
-import time
 import urllib.error
 import urllib.request
 
 from repro.experiments.workloads import build_workload
 from repro.serving.engine import ServingConfig, ServingEngine
 from repro.serving.http import ServingHTTPServer
+from repro.utils.timing import Timer
 
 NUM_REQUESTS = 16
 TIME_STEPS = 60
@@ -56,18 +56,18 @@ def main() -> None:
     engine.warm(SCHEME)
 
     # -- baseline: each request simulated alone, one after another ---------
-    started = time.perf_counter()
-    sequential = [engine.classify_sync(image, SCHEME) for image in images]
-    sequential_s = time.perf_counter() - started
+    with Timer() as sequential_timer:
+        sequential = [engine.classify_sync(image, SCHEME) for image in images]
+    sequential_s = sequential_timer.seconds
     # classify_sync waits for each answer before submitting the next request,
     # so every one of these rode in a batch of exactly 1
     assert all(result.batch_size == 1 for result in sequential)
 
     # -- concurrent clients: submit everything, let the scheduler batch ----
-    started = time.perf_counter()
-    futures = [engine.classify(image, SCHEME) for image in images]
-    batched = [future.result(timeout=120) for future in futures]
-    batched_s = time.perf_counter() - started
+    with Timer() as batched_timer:
+        futures = [engine.classify(image, SCHEME) for image in images]
+        batched = [future.result(timeout=120) for future in futures]
+    batched_s = batched_timer.seconds
 
     assert [r.prediction for r in batched] == [r.prediction for r in sequential]
     histogram = engine.metrics.batch_size_histogram()

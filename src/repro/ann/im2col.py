@@ -18,11 +18,11 @@ Two entry points are provided:
   :func:`im2col`'s, so results are bit-for-bit the same.
 
 A third form, :class:`DirectConvPlan`, skips the column matrix entirely for
-stride-1 convolutions (one accumulating GEMM per kernel tap over a padded
-NHWC halo buffer, with optional packing to the spike-carrying input
-channels).  It reassociates the reduction, so the SNN engine uses it only on
-its tolerance-based float32 fast path — the float64 exact path stays on
-:class:`Im2colPlan`.
+stride-1 convolutions (one stacked GEMM per kernel tap over a padded NHWC halo
+buffer).  It reassociates the reduction, so the SNN engine uses it only on
+its tolerance-based float32 path — the float64 exact path stays on
+:class:`Im2colPlan`.  Which plan a layer runs depends only on its geometry
+and dtype; nothing is timed.
 """
 
 from __future__ import annotations
@@ -31,27 +31,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - exercised indirectly via DirectConvPlan
-    from scipy.linalg.blas import dgemm as _dgemm, sgemm as _sgemm
-
-    _ACCUMULATING_GEMM = {np.dtype(np.float32): _sgemm, np.dtype(np.float64): _dgemm}
-except ImportError:  # pragma: no cover - scipy is optional
-    _ACCUMULATING_GEMM = {}
-
-#: per-geometry GEMM engine choice for DirectConvPlan (probed once per
-#: process so identical runs stay bit-identical to each other)
-_DIRECT_ENGINE_CACHE: dict = {}
-
 
 def direct_engine_cache_snapshot() -> dict:
-    """Copy of the engine-choice cache (shipped to shard workers so their
-    direct-conv kernels match the parent's)."""
-    return dict(_DIRECT_ENGINE_CACHE)
+    """Return ``{}``: :class:`DirectConvPlan` has one GEMM engine, so no
+    engine choice is probed or cached.
 
-
-def install_direct_engine_cache(snapshot: dict) -> None:
-    """Install a parent process's engine-choice cache (worker-side)."""
-    _DIRECT_ENGINE_CACHE.update(snapshot)
+    ``perfbench/snn_trace.py`` reads it for the ``im2col.engine_probes``
+    metric (now always 0); the function goes with the next change to
+    ``perfbench/``.
+    """
+    return {}
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -230,8 +219,8 @@ class DirectConvPlan:
     The im2col form materialises a ``(N·out_h·out_w, C·K·K)`` column matrix
     every step — ``K·K`` times the input's size in writes alone, which is what
     dominates the spiking-conv step at bench scale.  This plan instead keeps
-    the padded input in channels-last layout and runs one *accumulating GEMM
-    per kernel tap* over a contiguous flat window of the halo buffer:
+    the padded input in channels-last layout and runs one *per-image stacked
+    GEMM per kernel tap* over a contiguous flat window of the halo buffer:
 
     for tap ``(ky, kx)`` the flat element range starting at
     ``(ky·PW + kx)·C`` of a padded image, viewed as ``(L, C)`` rows with
@@ -247,13 +236,7 @@ class DirectConvPlan:
     canonical ``(c, ky, kx)`` im2col ordering, so results match
     :class:`Im2colPlan` + GEMM only to rounding; the simulation engine
     therefore uses this plan on its tolerance-based (float32) path and keeps
-    the canonical plan for the float64 exact-match path (see
-    :mod:`repro.utils.sparsity`).
-
-    Channel packing (the sparse-column path): ``run(..., active_channels=)``
-    lifts only the spike-carrying input channels into a narrower halo buffer
-    and multiplies the matching rows of each tap matrix, skipping the silent
-    channels entirely.
+    the canonical plan for the float64 exact-match path.
     """
 
     def __init__(
@@ -282,11 +265,13 @@ class DirectConvPlan:
         self.padded_w = width + 2 * padding
 
         n = batch_size
-        #: flat halo scratch, reinterpreted as (N, PH, PW, C') per channel count
-        self._halo_flat = np.zeros(n * self.padded_h * self.padded_w * channels, dtype=self.dtype)
-        self._halo_channels: Optional[int] = None
-        self._halo: Optional[np.ndarray] = None
-        self._interior: Optional[np.ndarray] = None
+        # padded NHWC halo; the zero margin is written once and never touched
+        # again (run() only overwrites the interior)
+        self._halo = np.zeros((n, self.padded_h, self.padded_w, channels), dtype=self.dtype)
+        pad = self.padding
+        self._interior = (
+            self._halo[:, pad : pad + height, pad : pad + width, :] if pad else self._halo
+        )
 
         #: window row count: output row r = y·PW + x for y < out_h, x < out_w
         self.window_rows = (self.out_h - 1) * self.padded_w + self.out_w
@@ -296,45 +281,14 @@ class DirectConvPlan:
         self._z_view = self._zbuf.reshape(
             n, self.out_h, self.padded_w, self.out_channels
         )[:, :, : self.out_w, :].transpose(0, 3, 1, 2)
-        # BLAS-accumulating variant (scipy): one flat window per tap across
-        # the whole batch (inter-image halo rows are garbage, never read) and
-        # gemm(beta=1) accumulates in place — no per-tap add pass.  The output
-        # buffer must span the full halo so window and output rows align.
-        self._engine: Optional[str] = None
-        self._gemm = _ACCUMULATING_GEMM.get(self.dtype)
-        if self._gemm is not None:
-            self._zfull = np.empty((n * self.padded_h * self.padded_w, self.out_channels), dtype=self.dtype)
-            self._zfull_view = self._zfull.reshape(
-                n, self.padded_h, self.padded_w, self.out_channels
-            )[:, : self.out_h, : self.out_w, :].transpose(0, 3, 1, 2)
 
     @property
     def z_view(self) -> np.ndarray:
         """The (N, out_c, out_h, out_w) output view over the plan's buffer."""
         return self._z_view
 
-    def _halo_view(self, channels: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(halo, interior) views for ``channels`` packed channels, zeroing the
-        halo margin whenever the packed width changes."""
-        if self._halo_channels == channels and self._halo is not None:
-            return self._halo, self._interior
-        n, _, h, w = self.input_shape
-        size = n * self.padded_h * self.padded_w * channels
-        halo = self._halo_flat[:size].reshape(n, self.padded_h, self.padded_w, channels)
-        halo.fill(0.0)
-        pad = self.padding
-        interior = halo[:, pad : pad + h, pad : pad + w, :] if pad else halo
-        self._halo_channels = channels
-        self._halo = halo
-        self._interior = interior
-        return halo, interior
-
     def run(
-        self,
-        x: np.ndarray,
-        taps: np.ndarray,
-        bias: Optional[np.ndarray] = None,
-        active_channels: Optional[np.ndarray] = None,
+        self, x: np.ndarray, taps: np.ndarray, bias: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Convolve ``x`` (N, C, H, W) with per-tap matrices ``taps``.
 
@@ -343,14 +297,10 @@ class DirectConvPlan:
         x:
             Input batch in the engine's channels-first layout.
         taps:
-            ``(K·K, C', out_c)`` stack of tap matrices (``weight[o, c, ky, kx]``
-            transposed to ``taps[ky·K + kx, c, o]``), already gathered to the
-            active channels when ``active_channels`` is given.
+            ``(K·K, C, out_c)`` stack of tap matrices (``weight[o, c, ky, kx]``
+            transposed to ``taps[ky·K + kx, c, o]``).
         bias:
             Optional per-output-channel bias added once.
-        active_channels:
-            Indices of the input channels to lift (the sparse-column path);
-            ``None`` lifts all of them.
 
         Returns
         -------
@@ -361,118 +311,28 @@ class DirectConvPlan:
             raise ValueError(
                 f"direct conv plan built for input shape {self.input_shape}, got {x.shape}"
             )
-        n, c, h, w = self.input_shape
-        packed = c if active_channels is None else int(len(active_channels))
-        if taps.shape != (self.kernel * self.kernel, packed, self.out_channels):
+        n, c, _, _ = self.input_shape
+        if taps.shape != (self.kernel * self.kernel, c, self.out_channels):
             raise ValueError(
                 f"taps shape {taps.shape} does not match "
-                f"({self.kernel * self.kernel}, {packed}, {self.out_channels})"
+                f"({self.kernel * self.kernel}, {c}, {self.out_channels})"
             )
-        halo, interior = self._halo_view(packed)
-        if active_channels is None:
-            # transpose builds the NHWC view directly (moveaxis pays an extra
-            # normalisation pass on this hot path)
-            interior[...] = x.transpose(0, 2, 3, 1)
-        else:
-            for packed_index, channel in enumerate(active_channels):
-                interior[..., packed_index] = x[:, channel]
-
-        if self._select_engine() == "accumulate":
-            return self._run_accumulate(halo, taps, bias, packed)
-        return self._run_stacked(halo, taps, bias, packed)
-
-    def _select_engine(self) -> str:
-        """Pick the per-geometry GEMM engine (timed once, cached process-wide).
-
-        The two engines differ only in rounding (both accumulate taps in the
-        same order), and the choice is cached per geometry+dtype — probed at
-        the full channel width on a throwaway halo — so repeated runs in one
-        process stay bit-identical to each other.  Sparse-packed calls reuse
-        the full-width verdict (the engines scale together in the packed
-        width).
-        """
-        if self._engine is not None:
-            return self._engine
-        key = (self.input_shape, self.kernel, self.padding, self.out_channels, str(self.dtype))
-        cached = _DIRECT_ENGINE_CACHE.get(key)
-        if cached is None:
-            if self._gemm is None:
-                cached = "stacked"
-            else:
-                import time as _time
-
-                n, c, _, _ = self.input_shape
-                probe_halo = np.zeros(
-                    (n, self.padded_h, self.padded_w, c), dtype=self.dtype
-                )
-                probe_taps = np.zeros(
-                    (self.kernel * self.kernel, c, self.out_channels), dtype=self.dtype
-                )
-
-                def _once(fn) -> float:
-                    fn()  # warm
-                    best = float("inf")
-                    for _ in range(2):
-                        start = _time.perf_counter()
-                        fn()
-                        best = min(best, _time.perf_counter() - start)
-                    return best
-
-                t_acc = _once(lambda: self._run_accumulate(probe_halo, probe_taps, None, c))
-                t_stack = _once(lambda: self._run_stacked(probe_halo, probe_taps, None, c))
-                cached = "accumulate" if t_acc < t_stack else "stacked"
-            _DIRECT_ENGINE_CACHE[key] = cached
-        self._engine = cached
-        return cached
-
-    def _run_accumulate(
-        self, halo: np.ndarray, taps: np.ndarray, bias: Optional[np.ndarray], packed: int
-    ) -> np.ndarray:
-        """One flat window per tap spanning the whole batch; ``gemm(beta=1)``
-        accumulates into the (transposed view of the) output in place."""
-        n = self.input_shape[0]
-        total_rows = (n - 1) * self.padded_h * self.padded_w + self.window_rows
-        flat_all = halo.reshape(-1)
-        z_rows = self._zfull[:total_rows]
-        z_t = z_rows.T
-        for tap_index in range(self.kernel * self.kernel):
-            ky, kx = divmod(tap_index, self.kernel)
-            offset = (ky * self.padded_w + kx) * packed
-            window = flat_all[offset : offset + total_rows * packed].reshape(
-                total_rows, packed
-            )
-            self._gemm(
-                1.0,
-                taps[tap_index].T,
-                window.T,
-                beta=0.0 if tap_index == 0 else 1.0,
-                c=z_t,
-                overwrite_c=1,
-            )
-        if bias is not None:
-            z_rows += bias
-        return self._zfull_view
-
-    def _run_stacked(
-        self, halo: np.ndarray, taps: np.ndarray, bias: Optional[np.ndarray], packed: int
-    ) -> np.ndarray:
-        """Per-image stacked matmul per tap, accumulated via an add pass."""
-        n = self.input_shape[0]
-        flat = halo.reshape(n, self.padded_h * self.padded_w * packed)
+        # transpose builds the NHWC view directly (moveaxis pays an extra
+        # normalisation pass on this hot path)
+        self._interior[...] = x.transpose(0, 2, 3, 1)
+        flat = self._halo.reshape(n, self.padded_h * self.padded_w * c)
         rows = self.window_rows
         zbuf = self._zbuf[:, :rows]
         tap_z = self._tap_z
-        tap_index = 0
-        for ky in range(self.kernel):
-            for kx in range(self.kernel):
-                offset = (ky * self.padded_w + kx) * packed
-                window = flat[:, offset : offset + rows * packed].reshape(n, rows, packed)
-                if tap_index == 0:
-                    np.matmul(window, taps[tap_index], out=zbuf)
-                else:
-                    np.matmul(window, taps[tap_index], out=tap_z)
-                    zbuf += tap_z
-                tap_index += 1
+        for tap_index in range(self.kernel * self.kernel):
+            ky, kx = divmod(tap_index, self.kernel)
+            offset = (ky * self.padded_w + kx) * c
+            window = flat[:, offset : offset + rows * c].reshape(n, rows, c)
+            if tap_index == 0:
+                np.matmul(window, taps[tap_index], out=zbuf)
+            else:
+                np.matmul(window, taps[tap_index], out=tap_z)
+                zbuf += tap_z
         if bias is not None:
             zbuf += bias
         return self._z_view

@@ -1,6 +1,6 @@
 """Pluggable compute backends for the simulation engine's kernel hot paths.
 
-The engine's per-step math — GEMMs, gathers over active features, im2col /
+The engine's per-step math — GEMMs, the max-pool gather, im2col /
 direct-convolution plans, slab pooling and the elementwise integrate-and-fire
 / burst-threshold updates — runs behind the :class:`KernelBackend` seam
 defined in :mod:`repro.backends.base`.  Backends register by name (the same

@@ -3,13 +3,12 @@
 This backend *is* the code the engine ran before the backend layer existed —
 the kernel bodies were relocated here (not rewritten), so its float64 results
 remain bit-identical to the golden seed reference
-(``benchmarks/perf/seed_reference.json``), and its float32 results are
-byte-for-byte what PR 1/2 shipped.  Every other backend is measured against
-this one by the parity suite (``tests/test_backends.py``).
+(``benchmarks/perf/seed_reference.json``).  Every other backend is measured
+against this one by the parity suite (``tests/test_backends.py``).
 
 The conv plans are the cached :class:`~repro.ann.im2col.Im2colPlan` (canonical
-/ exact path) and :class:`~repro.ann.im2col.DirectConvPlan` (stride-1 halo
-fast path) objects unchanged.
+/ exact path) and :class:`~repro.ann.im2col.DirectConvPlan` (stride-1 float32
+halo path) objects unchanged.
 """
 
 from __future__ import annotations
@@ -51,23 +50,12 @@ class NumpyBackend(KernelBackend):
     def scale(self, a: np.ndarray, scalar: float, out: np.ndarray) -> np.ndarray:
         return np.multiply(a, scalar, out=out)
 
-    def take(
-        self, a: np.ndarray, indices: np.ndarray, axis: int, out: np.ndarray
-    ) -> np.ndarray:
-        return np.take(a, indices, axis=axis, out=out)
-
     def take_flat(
         self, a: np.ndarray, flat_indices: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         return np.take(a.reshape(-1), flat_indices, out=out)
 
-    # -- activity scans ----------------------------------------------------
-    def active_features(self, x: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(x.any(axis=0))
-
-    def active_channels(self, x: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(x.any(axis=(0, 2, 3)))
-
+    # -- activity scan -----------------------------------------------------
     def count_nonzero(self, x: np.ndarray) -> int:
         return int(np.count_nonzero(x))
 

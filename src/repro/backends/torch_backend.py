@@ -46,18 +46,6 @@ class TorchBackend(NumpyBackend):
         )
         return out
 
-    def take(
-        self, a: np.ndarray, indices: np.ndarray, axis: int, out: np.ndarray
-    ) -> np.ndarray:
-        torch = self._torch
-        torch.index_select(
-            torch.from_numpy(np.ascontiguousarray(a)),
-            axis,
-            torch.from_numpy(np.ascontiguousarray(indices)),
-            out=torch.from_numpy(out),
-        )
-        return out
-
     def take_flat(
         self, a: np.ndarray, flat_indices: np.ndarray, out: np.ndarray
     ) -> np.ndarray:

@@ -25,17 +25,13 @@ Sharded evaluation
 ``PipelineConfig(num_workers=N)`` splits the test set into contiguous shards
 of whole batches and simulates them in worker processes, merging the
 per-shard statistics deterministically: shards are reduced in order, each
-shard runs the exact sequential code path, and the parent's kernel
-calibrations (timing-probed crossovers and conv-engine choices) are fixed
-before the fan-out and shipped to every worker, so the workers dispatch to
-the same kernels a sequential run would.  In float64 the merged
-:class:`AggregatedRun` is bit-identical to a sequential run by construction;
-in float32 it is bit-identical whenever the calibration state covers every
-shard's geometry (always, for uniform batches) and within the engine's
-documented float32 tolerance otherwise.  On single-CPU machines the pipeline
-logs a note and falls back to in-process execution instead of spawning
-workers that would only add overhead (``REPRO_FORCE_SHARDING=1`` overrides
-the guard, for tests).
+shard runs the exact sequential code path, and kernel choice is a pure
+function of geometry and dtype, so the workers run the same kernels a
+sequential run would.  The merged :class:`AggregatedRun` is therefore
+bit-identical to a sequential run in both dtypes.  On single-CPU machines the
+pipeline logs a note and falls back to in-process execution instead of
+spawning workers that would only add overhead (``REPRO_FORCE_SHARDING=1``
+overrides the guard, for tests).
 """
 
 from __future__ import annotations
@@ -450,23 +446,9 @@ class SNNInferencePipeline:
                 self._simulate_range(snn, sim_config, x, y, 0, num_images, keep_batch_results)
             ]
         else:
-            # warm the shared caches so every worker inherits them via pickle,
-            # and reset the parent's SNN once so the kernel calibrations
-            # (timing-probed, process-wide) are fixed here rather than probed
-            # independently — and possibly differently — inside each worker
+            # warm the shared caches so every worker inherits them via pickle
             self.dnn_accuracy
             self.normalization
-            from repro.backends import resolve_backend
-            from repro.utils.dtypes import resolve_dtype
-
-            reset_dtype = resolve_dtype(sim_config.dtype)
-            reset_backend = resolve_backend(sim_config.backend)
-            for layer in snn.layers:
-                layer.reset(
-                    min(config.batch_size, num_images),
-                    dtype=reset_dtype,
-                    backend=reset_backend,
-                )
             shards = self._run_sharded(scheme, time_steps, num_images, workers, keep_batch_results)
 
         recorded_steps = shards[0].recorded_steps
@@ -518,9 +500,8 @@ class SNNInferencePipeline:
     ) -> List[_ShardResult]:
         """Fan the shards out via the engine's orchestration layer.
 
-        :func:`repro.engine.run.run_sharded` snapshots the parent's kernel
-        calibrations and installs them in every worker, so the merged result
-        is deterministic and identical to the sequential run.
+        Each worker runs the sequential code path on its shard, so the merged
+        result is deterministic and identical to the sequential run.
         """
         ranges = self._shard_ranges(num_images, workers)
         logger.info(

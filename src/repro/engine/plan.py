@@ -14,10 +14,10 @@ made cacheable — lives here, pulled out of ``SpikingNetwork.run``:
   once per configuration — it does not depend on the batch,
 * per-batch **preparation** (:meth:`SimulationPlan.prepare`) resets the
   encoder and every layer — which is where the weight casts, cached
-  im2col/direct-conv plans, sparsity-crossover calibrations and scratch
-  buffers are (re)built, all keyed inside the layers so repeated batches of
-  the same geometry reuse them — registers the spike records, and enables
-  per-phase input caching for periodic encoders.
+  im2col/direct-conv plans and scratch buffers are (re)built, all keyed
+  inside the layers so repeated batches of the same geometry reuse them —
+  registers the spike records, and enables per-phase input caching for
+  periodic encoders.
 
 A :class:`SimulationPlan` is cheap and reusable: the
 :class:`~repro.engine.session.InferenceSession` builds one per configuration

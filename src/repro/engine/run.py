@@ -1,16 +1,18 @@
 """Run stage: the time-stepped simulation loop and shard orchestration.
 
 This module owns everything that happens *per step* — encoder stepping,
-layer propagation with sparsity hints, spike recording, output snapshots and
-the converged-image early exit — plus the process-level fan-out used for
-sharded evaluation.  The build and plan stages
+layer propagation with the producer's nonzero counts, spike recording,
+output snapshots and the converged-image early exit — plus the
+process-level fan-out used for sharded evaluation.  The build and plan stages
 (:mod:`repro.engine.build` / :mod:`repro.engine.plan`) feed it;
 ``SpikingNetwork.run`` and the pipeline delegate here, so there is exactly
 one step loop in the code base.
 
 In float64 the loop is bit-identical to the original seed engine (golden
 reference ``benchmarks/perf/seed_reference.json``); the float32 default runs
-the measured-activity sparse kernels within the documented tolerance.
+the direct-conv kernels within the documented tolerance.  Kernel choice is a
+pure function of geometry and dtype, so every process — a shard worker or a
+serving replica — runs the same kernels on the same batch.
 """
 
 from __future__ import annotations
@@ -215,24 +217,6 @@ def shard_ranges(num_images: int, batch_size: int, workers: int) -> List[Tuple[i
     return ranges
 
 
-def _sharded_entry(
-    worker: Callable[[int, int], T],
-    start: int,
-    stop: int,
-    calibration_caches: Optional[Tuple[dict, dict]],
-) -> T:
-    """Worker-process entry point: install the parent's kernel calibrations
-    (sparse/dense crossovers and direct-conv engine choices) so every worker
-    dispatches to the same kernels the parent would, then run the shard."""
-    if calibration_caches is not None:
-        from repro.ann.im2col import install_direct_engine_cache
-        from repro.utils.sparsity import install_calibration_cache
-
-        install_calibration_cache(calibration_caches[0])
-        install_direct_engine_cache(calibration_caches[1])
-    return worker(start, stop)
-
-
 def run_sharded(
     worker: Callable[[int, int], T],
     ranges: Sequence[Tuple[int, int]],
@@ -242,27 +226,19 @@ def run_sharded(
 
     ``worker`` must be picklable (e.g. a bound method of a picklable object,
     or a :func:`functools.partial` over one) and is called as
-    ``worker(start, stop)`` inside each process.  The parent's process-wide
-    kernel calibrations are snapshotted here and shipped to every worker, so
-    results merge deterministically regardless of per-worker timing probes.
+    ``worker(start, stop)`` inside each process.  Kernel choice depends only
+    on geometry and dtype, so workers run the kernels a sequential run would
+    and the results merge deterministically.
     """
     import concurrent.futures
     import multiprocessing
 
-    from repro.ann.im2col import direct_engine_cache_snapshot
-    from repro.utils.sparsity import calibration_cache_snapshot
-
     # the platform-default start method is deliberate: forcing fork on
     # platforms that default to spawn (macOS) is unsafe after the parent has
-    # run BLAS work; the calibration snapshot keeps spawned workers' kernel
-    # choices identical to the parent's either way
+    # run BLAS work
     context = multiprocessing.get_context()
-    caches = (calibration_cache_snapshot(), direct_engine_cache_snapshot())
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=context
     ) as pool:
-        futures = [
-            pool.submit(_sharded_entry, worker, start, stop, caches)
-            for start, stop in ranges
-        ]
+        futures = [pool.submit(worker, start, stop) for start, stop in ranges]
         return [future.result() for future in futures]

@@ -7,9 +7,9 @@ engine.  The expensive work happens once and is amortised across requests:
 * **build** — the DNN→SNN conversion (when constructed via
   :meth:`InferenceSession.from_model`) happens once per session,
 * **plan** — the dtype and compute-backend resolution and the snapshot
-  schedule are computed once, and the per-geometry kernel plans, sparsity
-  calibrations and scratch buffers cached inside the network's layers
-  survive across batches (all kernel hot paths run on the plan's resolved
+  schedule are computed once, and the per-geometry kernel plans and
+  scratch buffers cached inside the network's layers survive across batches
+  (all kernel hot paths run on the plan's resolved
   :class:`~repro.backends.base.KernelBackend`),
 * **run** — every :meth:`run` call only pays the per-batch state reset and
   the step loop.
@@ -31,9 +31,8 @@ batcher threads, or user threads sharing one session) serialise instead of
 corrupting each other's buffers.  For *parallel* execution build one session
 per thread (each owns its own converted network) — or a whole pool in one
 call with :meth:`InferenceSession.replica_pool`, which shares the float64
-weight masters across replicas (per-replica plan/scratch buffers and
-sparsity-calibration cache keys, so replicas never contend on plan state) —
-or use the sharded evaluation path.
+weight masters across replicas (per-replica plan/scratch buffers, so
+replicas never contend on plan state) — or use the sharded evaluation path.
 """
 
 from __future__ import annotations
@@ -147,9 +146,9 @@ class InferenceSession:
         float64 batch answers bit-identically on any replica.  The float64
         weight masters are aliased across replicas (one copy in memory);
         everything mutable — plan buffers, kernel plans, cast caches, neuron
-        state — is per-replica, and each replica beyond the first tags its
-        sparsity-calibration cache keys (``sparsity_cache_tag``) so replicas
-        calibrating concurrently never contend on shared plan state.
+        state — is per-replica.  Kernel choice depends only on geometry and
+        dtype, so a float32 batch also answers bit-identically on any
+        replica.
 
         Note: a stochastic (Poisson) input encoder owns one RNG stream *per
         replica* — deterministic encoders (phase, TTFS, real amplitudes) are
@@ -183,8 +182,6 @@ class InferenceSession:
             session.replica_index = index
             if index > 0:
                 _share_weight_masters(sessions[0].network, session.network)
-                for layer in session.network.layers:
-                    layer.sparsity_cache_tag = f"replica-{index}"
             sessions.append(session)
         return sessions
 

@@ -14,7 +14,7 @@ al. [12]: each window forwards the amplitude of the input unit with the
 largest cumulative transmitted value.
 
 Each layer's ``step`` is the one implementation of its per-step update.
-Every kernel primitive it touches — GEMMs, gathers, conv plans, pooling slabs
+Every kernel primitive it touches — GEMMs, conv plans, pooling slabs
 and the IF/threshold elementwise updates — runs on the layer's resolved
 :class:`~repro.backends.base.KernelBackend` (``self.ops``, bound at
 ``reset``); the layers orchestrate *which* kernel runs per step but never
@@ -24,26 +24,23 @@ code relocated behind the seam, so all guarantees below are unchanged.
 Performance contract
 --------------------
 ``step`` is called once per layer per simulation time step and is
-allocation-free in the steady state (modulo the small per-step index arrays
-of the sparse paths):
+allocation-free in the steady state:
 
 * weights are kept as float64 masters and cast **once per reset** to the
   simulation dtype (float32 by default, float64 opt-in — see
   :mod:`repro.utils.dtypes`); per-step bias injection uses a precomputed
   ``bias_scale·b`` vector;
-* every synaptic layer dispatches each step through a per-layer
-  :class:`~repro.utils.sparsity.SparsityDispatcher` (``REPRO_SPARSE_MODE`` is
-  read once per reset, ``dispatcher.force`` every step): an all-zero incoming
-  tensor short-circuits to a precomputed bias response (exact in every
-  dtype); on the tolerance-based float32 path, measured activity below the
-  layer's auto-calibrated crossover selects a **sparse kernel** —
-  gather-matmul over the active input features for :class:`SpikingDense`, a
-  channel-packed :class:`~repro.ann.im2col.DirectConvPlan` for
-  :class:`SpikingConv2D` — and dense float32 stride-1 convolutions run on
-  the direct (halo) plan rather than the column fill;
-* the float64 exact path keeps the canonical cached
-  :class:`~repro.ann.im2col.Im2colPlan` + GEMM pipeline, so float64 runs
-  stay bit-identical to the seed engine;
+* every synaptic layer has two static kernel paths, chosen per step from
+  the producer's exact nonzero count (or one ``count_nonzero`` scan when the
+  producer, a pooling layer, reports none): an **empty** step returns a
+  precomputed bias response (exact in every dtype), and every other step
+  runs the **dense** kernel — one GEMM for :class:`SpikingDense`; for
+  :class:`SpikingConv2D` the stride-1 float32
+  :class:`~repro.ann.im2col.DirectConvPlan`, else the canonical cached
+  :class:`~repro.ann.im2col.Im2colPlan` + GEMM.  The kernel is a pure
+  function of geometry and dtype; nothing is timed or calibrated;
+* the float64 exact path keeps the canonical im2col pipeline, so float64
+  runs stay bit-identical to the seed engine;
 * layers whose incoming drive is *periodic* (a phase- or real-coded input
   encoder feeding the first layer) can cache their synaptic input per phase
   via :meth:`_SpikingNeuronLayer.enable_input_caching` — bit-exact in every
@@ -70,9 +67,7 @@ from repro.ann.im2col import DirectConvPlan, Im2colPlan, conv_output_size
 from repro.backends import resolve_backend
 from repro.snn.neurons import IFNeuronState, ResetMode
 from repro.snn.thresholds import ThresholdDynamics
-from repro.utils import sparsity
 from repro.utils.dtypes import DTypeLike, resolve_dtype
-from repro.utils.sparsity import SparsityDispatcher
 
 #: cap on cached periodic synaptic input (elements across all phases) so the
 #: phase cache cannot balloon on huge layers
@@ -115,12 +110,6 @@ class SpikingLayer:
         #: forwards it to the next layer as ``incoming_nonzero`` so cheap
         #: layers can skip re-scanning their input for activity
         self.output_nonzero: Optional[int] = None
-        #: ``REPRO_SPARSE_MODE`` as read at the most recent reset
-        self._sparse_env = sparsity.env_sparse_mode()
-        #: extra component of the sparsity-calibration cache key; replica
-        #: session pools set a per-replica tag so replicas calibrating the
-        #: same geometry concurrently never contend on one cache entry
-        self.sparsity_cache_tag = ""
 
     def reset(self, batch_size: int, dtype: DTypeLike = None, backend=None) -> None:
         """Allocate per-simulation state for a batch of ``batch_size`` samples.
@@ -140,7 +129,6 @@ class SpikingLayer:
         self.backend_changed = self._ops is not None and resolved is not self._ops
         self._ops = resolved
         self.last_spikes = None
-        self._sparse_env = sparsity.env_sparse_mode()
 
     @property
     def ops(self):
@@ -169,10 +157,12 @@ class SpikingLayer:
         """
         raise NotImplementedError
 
-    def _forced_mode(self) -> Optional[str]:
-        """The dispatcher's forced decision (``force``, else the environment
-        setting read at reset)."""
-        return self.dispatcher.resolve_force(self._sparse_env)
+    def _is_empty(self, incoming: np.ndarray, incoming_nonzero: Optional[int]) -> bool:
+        """Whether ``incoming`` is all zero: the producer's exact count when
+        it supplied one, else one scan."""
+        if incoming_nonzero is None:
+            incoming_nonzero = self.ops.count_nonzero(incoming)
+        return incoming_nonzero == 0
 
     def shrink_batch(self, keep: np.ndarray) -> None:
         """Keep only the batch rows ``keep`` (converged-image early exit).
@@ -223,38 +213,14 @@ class _SpikingNeuronLayer(SpikingLayer):
         self.bias_scale = float(bias_scale)
         self.state: Optional[IFNeuronState] = None
         self._cast_cache: Dict[str, np.ndarray] = {}
-        self.dispatcher: Optional[SparsityDispatcher] = None
         self._input_period: Optional[int] = None
         self._z_cache: Optional[List[Optional[np.ndarray]]] = None
-
-    def _hinted_decision(
-        self, forced: Optional[str], hint: Optional[int], size: int
-    ) -> Optional[str]:
-        """Dispatch from the producer's exact nonzero count when conclusive.
-
-        A zero count is the (provably exact) empty shortcut in every dtype.
-        A nonzero count settles the decision when the sparse path cannot be
-        taken anyway (exactness-gated float64), or when the element fraction
-        already reaches the crossover — the structured (channel/feature)
-        fraction is always ≥ the element fraction, so the sparse branch
-        could not have been chosen.  ``None`` means "scan the input".
-        """
-        if hint is None or forced is not None:
-            return None  # forced modes keep the full (scanned) dispatch path
-        dispatcher = self.dispatcher
-        fraction = hint / size
-        if hint == 0 or dispatcher.exact_only or fraction >= dispatcher.crossover:
-            return dispatcher.choose_resolved(None, fraction)
-        return None
 
     def _state_shape(self, batch_size: int) -> Tuple[int, ...]:
         raise NotImplementedError
 
     def _prepare_buffers(self, batch_size: int) -> None:
         """Hook for subclasses to (re)build their per-run scratch buffers."""
-
-    def _calibrate_dispatcher(self) -> None:
-        """Hook: auto-calibrate the sparse/dense crossover on first reset."""
 
     def reset(self, batch_size: int, dtype: DTypeLike = None, backend=None) -> None:
         super().reset(batch_size, dtype, backend)
@@ -273,15 +239,8 @@ class _SpikingNeuronLayer(SpikingLayer):
                 shape, reset_mode=self.reset_mode, dtype=self.dtype, ops=self.ops
             )
         self.threshold.reset(shape, dtype=self.dtype, backend=self.ops)
-        exact_only = self.dtype == np.float64
-        if self.dispatcher is None:
-            self.dispatcher = SparsityDispatcher(self.name, exact_only=exact_only)
-        else:
-            self.dispatcher.exact_only = exact_only
-            self.dispatcher.reset_counters()
         self._z_cache = None if self._input_period is None else [None] * self._input_period
         self._prepare_buffers(batch_size)
-        self._calibrate_dispatcher()
 
     def enable_input_caching(self, period: Optional[int]) -> None:
         """Cache the synaptic input per phase of a ``period``-periodic drive.
@@ -394,8 +353,6 @@ class SpikingDense(_SpikingNeuronLayer):
         self._scaled_bias: Optional[np.ndarray] = None
         self._z: Optional[np.ndarray] = None
         self._z_empty: Optional[np.ndarray] = None
-        self._xa_flat: Optional[np.ndarray] = None
-        self._wa_flat: Optional[np.ndarray] = None
 
     @property
     def in_features(self) -> int:
@@ -416,7 +373,7 @@ class SpikingDense(_SpikingNeuronLayer):
         ops = self.ops
         if self.backend_changed:
             # buffers built by the previous backend must not leak into this run
-            self._z = self._xa_flat = self._wa_flat = self._z_empty = None
+            self._z = self._z_empty = None
         self._w_sim = _cast_cached(self._cast_cache, "weight", self.weight, self.dtype)
         if self.bias is not None:
             self._scaled_bias = _cast_cached(
@@ -424,81 +381,16 @@ class SpikingDense(_SpikingNeuronLayer):
             )
         if self._z is None or self._z.shape != (batch_size, self.out_features) or self._z.dtype != self.dtype:
             self._z = ops.empty((batch_size, self.out_features), self.dtype)
-            # gather-path input accumulator: flat scratch carved into (N, a)
-            # views for the step's active-feature count a
-            self._xa_flat = ops.empty((batch_size * self.in_features,), self.dtype)
-        if self._wa_flat is None or self._wa_flat.dtype != self.dtype:
-            # weight gather scratch is batch-independent: rebuild on dtype only
-            self._wa_flat = ops.empty((self.in_features * self.out_features,), self.dtype)
         if self._z_empty is None or self._z_empty.shape != self._z.shape or self._z_empty.dtype != self.dtype:
             self._z_empty = ops.zeros((batch_size, self.out_features), self.dtype)
             if self._scaled_bias is not None:
                 ops.add_inplace(self._z_empty, self._scaled_bias)
-
-    def _calibrate_dispatcher(self) -> None:
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        if dispatcher.exact_only or self._forced_mode() is not None:
-            return
-        batch = self.batch_size or 1
-        # keyed by backend: crossovers timed on one backend's kernels must
-        # never steer another backend's dispatch (see repro.utils.sparsity)
-        cache_key = (
-            "dense", self.ops.name, self.sparsity_cache_tag, batch,
-            self.in_features, self.out_features, str(self.dtype),
-        )
-        rng = np.random.default_rng(0)
-
-        def make_input(fraction: float) -> np.ndarray:
-            # feature-structured probe: the dispatch metric is the fraction of
-            # *features* active anywhere in the batch, which is what the
-            # gather path's cost scales with
-            count = max(1, int(round(fraction * self.in_features)))
-            features = rng.choice(self.in_features, size=count, replace=False)
-            x = np.zeros((batch, self.in_features), dtype=self.dtype)
-            x[:, features] = np.asarray(
-                (rng.random((batch, count)) < 0.5) * 0.125, dtype=self.dtype
-            )
-            return x
-
-        dispatcher.calibrate(
-            cache_key,
-            self._dense_input,
-            lambda x: self._sparse_input(x, self.ops.active_features(x)),
-            make_input,
-        )
 
     def _dense_input(self, incoming: np.ndarray) -> np.ndarray:
         z = self._z
         assert z is not None and self._w_sim is not None
         ops = self.ops
         ops.matmul(incoming, self._w_sim, z)
-        if self._scaled_bias is not None:
-            ops.add_inplace(z, self._scaled_bias)
-        return z
-
-    def _sparse_input(self, incoming: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """Gather-matmul over the active input features.
-
-        ``incoming[:, active] @ W[active, :]`` with the gathered operands and
-        the output written into preallocated accumulators; features silent
-        across the whole batch contribute exactly zero and are skipped.
-        """
-        count = int(active.size)
-        if count == 0:
-            return self._z_empty
-        if count == self.in_features:
-            return self._dense_input(incoming)
-        batch = incoming.shape[0]
-        assert self._xa_flat is not None and self._wa_flat is not None
-        ops = self.ops
-        gathered_x = self._xa_flat[: batch * count].reshape(batch, count)
-        gathered_w = self._wa_flat[: count * self.out_features].reshape(count, self.out_features)
-        ops.take(incoming, active, 1, gathered_x)
-        ops.take(self._w_sim, active, 0, gathered_w)
-        z = self._z
-        assert z is not None
-        ops.matmul(gathered_x, gathered_w, z)
         if self._scaled_bias is not None:
             ops.add_inplace(z, self._scaled_bias)
         return z
@@ -511,16 +403,7 @@ class SpikingDense(_SpikingNeuronLayer):
                 f"{self.name}: expected incoming shape (N, {self.in_features}), "
                 f"got {incoming.shape}"
             )
-        forced = self._forced_mode()
-        decision = self._hinted_decision(forced, hint, incoming.size)  # EMPTY / DENSE / None
-        if decision is None:
-            # dispatch metric: fraction of input features active anywhere in
-            # the batch — the gather path's cost driver, exact for emptiness
-            active = self.ops.active_features(incoming)
-            decision = self.dispatcher.choose_resolved(forced, active.size / self.in_features)
-            if decision == sparsity.SPARSE:
-                return self._sparse_input(incoming, active)
-        if decision == sparsity.EMPTY:
+        if self._is_empty(incoming, hint):
             return self._z_empty
         return self._dense_input(incoming)
 
@@ -531,18 +414,15 @@ class SpikingDense(_SpikingNeuronLayer):
 class SpikingConv2D(_SpikingNeuronLayer):
     """Convolutional spiking layer (channel-first).
 
-    Three propagation kernels back the layer, selected per step by its
-    :class:`~repro.utils.sparsity.SparsityDispatcher`:
+    An all-zero step returns the precomputed bias response; every other step
+    runs one of two dense kernels, fixed by geometry and dtype:
 
     * **canonical** — cached :class:`~repro.ann.im2col.Im2colPlan` fill + one
-      GEMM, bit-identical to the seed engine (the float64 exact path);
+      GEMM, bit-identical to the seed engine; used in float64 and for any
+      stride other than 1;
     * **direct** — a stride-1 :class:`~repro.ann.im2col.DirectConvPlan` (one
-      accumulating GEMM per kernel tap over a padded halo buffer) that skips
-      the column materialisation; the float32 dense path;
-    * **sparse** — the direct plan packed down to the input channels that
-      carry at least one spike this step (the sparse-column path), entered
-      when the measured activity falls below the layer's auto-calibrated
-      crossover.
+      per-image stacked GEMM per kernel tap over a padded halo buffer) that
+      skips the column materialisation; used for stride-1 float32.
 
     All buffers are built lazily per (batch, dtype) geometry and reused
     across steps.
@@ -597,7 +477,6 @@ class SpikingConv2D(_SpikingNeuronLayer):
         self._direct: Optional[DirectConvPlan] = None
         self._wmat_t: Optional[np.ndarray] = None
         self._taps: Optional[np.ndarray] = None
-        self._taps_scratch_flat: Optional[np.ndarray] = None
         self._scaled_bias: Optional[np.ndarray] = None
         self._z2d: Optional[np.ndarray] = None
         self._z4: Optional[np.ndarray] = None
@@ -619,24 +498,16 @@ class SpikingConv2D(_SpikingNeuronLayer):
     def _state_shape(self, batch_size: int) -> Tuple[int, ...]:
         return (batch_size,) + self._out_shape
 
-    @property
-    def _direct_available(self) -> bool:
-        """The direct (halo) plan covers every stride-1 convolution."""
-        return self.stride == 1
-
     def _prepare_buffers(self, batch_size: int) -> None:
         out_c, out_h, out_w = self._out_shape
         ops = self.ops
         if self.backend_changed:
             # plans and buffers built by the previous backend must not leak
             self._plan = self._direct = None
-            self._z2d = self._z4 = self._z_empty = self._taps_scratch_flat = None
+            self._z2d = self._z4 = self._z_empty = None
         wmat = _cast_cached(self._cast_cache, "weight_matrix", self._weight_matrix, self.dtype)
         self._wmat_t = wmat.T
         self._taps = _cast_cached(self._cast_cache, "taps", self._tap_master, self.dtype)
-        if self._taps_scratch_flat is None or self._taps_scratch_flat.dtype != self.dtype:
-            # gather scratch for the sparse path's channel-packed tap stack
-            self._taps_scratch_flat = ops.empty((self._taps.size,), self.dtype)
         if self.bias is not None:
             self._scaled_bias = _cast_cached(
                 self._cast_cache, "scaled_bias", self.bias_scale * self.bias, self.dtype
@@ -680,47 +551,6 @@ class SpikingConv2D(_SpikingNeuronLayer):
             )
         return self._direct
 
-    def _calibrate_dispatcher(self) -> None:
-        dispatcher = self.dispatcher
-        assert dispatcher is not None
-        if (
-            dispatcher.exact_only
-            or not self._direct_available
-            or self._forced_mode() is not None
-        ):
-            return
-        batch = self.batch_size or 1
-        # keyed by backend, like the dense layer's crossover cache
-        cache_key = (
-            "conv", self.ops.name, self.sparsity_cache_tag, batch,
-            self.input_shape, self.kernel_size,
-            self.stride, self.padding, self.out_channels, str(self.dtype),
-        )
-        rng = np.random.default_rng(0)
-        channels = self.input_shape[0]
-
-        def make_input(fraction: float) -> np.ndarray:
-            # channel-structured probe: the dispatch metric is the fraction of
-            # input channels carrying any spike, which is what the packed
-            # (sparse-column) path's cost scales with
-            count = max(1, int(round(fraction * channels)))
-            chosen = rng.choice(channels, size=count, replace=False)
-            x = np.zeros((batch,) + self.input_shape, dtype=self.dtype)
-            plane = (batch, count) + self.input_shape[1:]
-            x[:, chosen] = np.asarray((rng.random(plane) < 0.2) * 0.125, dtype=self.dtype)
-            return x
-
-        dispatcher.calibrate(
-            cache_key,
-            self._dense_input,
-            lambda x: self._sparse_input(x, self.ops.active_channels(x)),
-            make_input,
-        )
-        # probe the direct plan's GEMM engine now (rather than lazily on the
-        # first step), so resetting a network in the parent process fully
-        # warms the process-wide caches shard workers inherit
-        self._direct_plan()._select_engine()
-
     def _canonical_input(self, incoming: np.ndarray) -> np.ndarray:
         plan = self._canonical_plan()
         assert self._z2d is not None and self._z4 is not None
@@ -733,28 +563,10 @@ class SpikingConv2D(_SpikingNeuronLayer):
 
     def _dense_input(self, incoming: np.ndarray) -> np.ndarray:
         # float64 is the exact-match reference precision: stay on the
-        # canonical im2col pipeline there (see repro.utils.sparsity)
-        if self.dtype == np.float64 or not self._direct_available:
+        # canonical im2col pipeline there; the direct plan is stride-1 only
+        if self.dtype == np.float64 or self.stride != 1:
             return self._canonical_input(incoming)
         return self._direct_plan().run(incoming, self._taps, self._scaled_bias)
-
-    def _sparse_input(self, incoming: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """Sparse-column path: lift and multiply only the input channels that
-        carry at least one spike this step."""
-        count = int(active.size)
-        if count == 0:
-            return self._z_empty
-        if count == incoming.shape[1]:
-            return self._direct_plan().run(incoming, self._taps, self._scaled_bias)
-        assert self._taps is not None and self._taps_scratch_flat is not None
-        kk = self.kernel_size * self.kernel_size
-        taps = self._taps_scratch_flat[: kk * count * self.out_channels].reshape(
-            kk, count, self.out_channels
-        )
-        self.ops.take(self._taps, active, 1, taps)
-        return self._direct_plan().run(
-            incoming, taps, self._scaled_bias, active_channels=active
-        )
 
     def _synaptic_input(
         self, incoming: np.ndarray, hint: Optional[int] = None
@@ -765,19 +577,7 @@ class SpikingConv2D(_SpikingNeuronLayer):
                 f"{self.name}: expected incoming shape (N, {expected_c}, H, W), "
                 f"got {incoming.shape}"
             )
-        forced = self._forced_mode()
-        decision = self._hinted_decision(forced, hint, incoming.size)  # EMPTY / DENSE / None
-        if decision is None:
-            # dispatch metric: fraction of input channels carrying any spike —
-            # a cheap reduction that doubles as the sparse path's channel list
-            # and is exact for empty detection (no active channel ⟺ all zero)
-            active = self.ops.active_channels(incoming)
-            decision = self.dispatcher.choose_resolved(
-                forced, active.size / expected_c, sparse_available=self._direct_available
-            )
-            if decision == sparsity.SPARSE:
-                return self._sparse_input(incoming, active)
-        if decision == sparsity.EMPTY:
+        if self._is_empty(incoming, hint):
             return self._z_empty
         return self._dense_input(incoming)
 
@@ -805,9 +605,6 @@ class SpikingAvgPool2D(SpikingLayer):
         self._shape: Optional[Tuple[int, int, int, int]] = None
         self._out: Optional[np.ndarray] = None
         self._mean_flat: Optional[np.ndarray] = None
-        # pooling has no cheaper kernel for nonzero input, so the dispatcher
-        # only contributes the (exact) empty-step shortcut
-        self.dispatcher = SparsityDispatcher(name, exact_only=True)
 
     def reset(self, batch_size: int, dtype: DTypeLike = None, backend=None) -> None:
         super().reset(batch_size, dtype, backend)
@@ -855,15 +652,7 @@ class SpikingAvgPool2D(SpikingLayer):
         out = self._out
         assert out is not None
         ops = self.ops
-        fraction = (
-            incoming_nonzero / incoming.size
-            if incoming_nonzero is not None
-            else ops.count_nonzero(incoming) / incoming.size
-        )
-        decision = self.dispatcher.choose_resolved(
-            self._forced_mode(), fraction, sparse_available=False
-        )
-        if decision == sparsity.EMPTY:
+        if self._is_empty(incoming, incoming_nonzero):
             # pooling an all-zero step is exactly zero in every dtype
             ops.fill(out, 0.0)
             return out
@@ -904,7 +693,6 @@ class SpikingMaxPool2D(SpikingLayer):
         self._cumulative: Optional[np.ndarray] = None
         self._plan: Optional[Im2colPlan] = None
         self._steps_seen = 0
-        self.dispatcher = SparsityDispatcher(name, exact_only=True)
         # gather machinery (built with the plan)
         self._winners: Optional[np.ndarray] = None
         self._ky: Optional[np.ndarray] = None
@@ -984,15 +772,7 @@ class SpikingMaxPool2D(SpikingLayer):
         plan = self._plan
         ops = self.ops
         assert cumulative is not None and plan is not None
-        fraction = (
-            incoming_nonzero / incoming.size
-            if incoming_nonzero is not None
-            else ops.count_nonzero(incoming) / incoming.size
-        )
-        decision = self.dispatcher.choose_resolved(
-            self._forced_mode(), fraction, sparse_available=False
-        )
-        if decision == sparsity.EMPTY:
+        if self._is_empty(incoming, incoming_nonzero):
             # nothing spiked: the cumulative evidence is unchanged, and every
             # window's winner forwards an amplitude of exactly zero
             assert self._gated is not None

@@ -113,8 +113,8 @@ ALT_BACKEND = "numpy-alt"
 @pytest.fixture
 def alt_backend():
     """Register a second backend (the numpy kernels under another name) for
-    the duration of one test, for the registry, cache-keying and
-    backend-switch tests that need two distinct backends."""
+    the duration of one test, for the registry and backend-switch tests
+    that need two distinct backends."""
     from repro.backends import registry
     from repro.backends.numpy_backend import NumpyBackend
 

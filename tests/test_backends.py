@@ -1,6 +1,6 @@
 """Backend registry, resolution and cross-backend parity (golden suite).
 
-Five layers of guarantees:
+Four layers of guarantees:
 
 * the registry plumbing — registration, did-you-mean errors, env var /
   override / explicit-config resolution order, clean unavailability of
@@ -13,8 +13,6 @@ Five layers of guarantees:
   bit-for-bit the engine default, in both dtypes, so the seed golden
   reference (``benchmarks/perf/seed_reference.json``, enforced by
   ``tests/test_dtype_policy.py``) pins this backend's float64 outputs;
-* the calibration-cache keying — sparsity crossovers are cached per backend
-  so mixed-backend processes cannot cross-contaminate dispatch decisions;
 * the **seam contract** — each neuron layer's step routes its GEMM, its IF
   update and its burst-threshold update through its backend (``self.ops``),
   which is all a backend such as torch needs to override.
@@ -196,55 +194,6 @@ class TestNumpyReferenceBitIdentity:
         a = snn.run(x, config)
         b = snn.run(x, config)
         assert np.array_equal(a.output_history, b.output_history)
-
-
-class TestCalibrationCacheKeying:
-    def test_crossover_cache_is_keyed_by_backend(
-        self, parity_snn_factory, tiny_color_split, alt_backend
-    ):
-        """Resetting the same geometry under two backends must create two
-        cache entries (never share one timing-probed crossover)."""
-        from repro.utils.sparsity import (
-            calibration_cache_snapshot,
-            clear_calibration_cache,
-        )
-
-        clear_calibration_cache()
-        try:
-            x = tiny_color_split.test.x[:4]
-            snn = parity_snn_factory("phase-burst")
-            config = SimulationConfig(time_steps=4, dtype="float32")
-            snn.run(x, config.replace(backend="numpy"))
-            keys_numpy = set(calibration_cache_snapshot())
-            snn.run(x, config.replace(backend=alt_backend))
-            keys_both = set(calibration_cache_snapshot())
-            assert keys_numpy, "float32 reset must calibrate at least one layer"
-            assert all("numpy" in key for key in keys_numpy)
-            added = keys_both - keys_numpy
-            assert added and all(alt_backend in key for key in added)
-        finally:
-            clear_calibration_cache()
-
-    def test_layer_cache_key_carries_backend_name(self, alt_backend):
-        """The dispatcher cache key a layer builds includes its backend."""
-        from repro.snn.layers import SpikingDense
-        from repro.snn.thresholds import BurstThreshold
-        from repro.utils.sparsity import (
-            calibration_cache_snapshot,
-            clear_calibration_cache,
-        )
-
-        rng = np.random.default_rng(0)
-        layer = SpikingDense(
-            rng.normal(size=(32, 16)), None, BurstThreshold(v_th=0.125)
-        )
-        clear_calibration_cache()
-        try:
-            layer.reset(4, dtype="float32", backend=alt_backend)
-            keys = list(calibration_cache_snapshot())
-            assert keys and any(alt_backend in key for key in keys)
-        finally:
-            clear_calibration_cache()
 
 
 class CountingBackend(NumpyBackend):
